@@ -30,8 +30,8 @@ use hpnn_bench::timing::{bench_output_path, fmt_ns, group, write_json, BenchResu
 use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
 use hpnn_nn::{mlp, ActKind, LayerSpec, NetworkSpec};
 use hpnn_serve::{
-    DispatchPolicy, InferMode, LoadgenConfig, LoadgenReport, ServeConfig, ServeRegistry, Server,
-    Session, StatsSnapshot,
+    InferMode, LoadgenConfig, LoadgenReport, ServeConfig, ServeRegistry, Server, Session,
+    StatsSnapshot,
 };
 use hpnn_tensor::Rng;
 
@@ -240,12 +240,7 @@ fn main() {
         .max_rows_per_request(16)
         .max_inflight_per_conn(64);
     let one_cfg = base.clone().shards(1..=1).build().expect("1-shard config");
-    let four_cfg = base
-        .clone()
-        .shards(4..=4)
-        .dispatch(DispatchPolicy::LeastLoaded)
-        .build()
-        .expect("4-shard config");
+    let four_cfg = base.clone().shards(4..=4).build().expect("4-shard config");
     let adaptive_cfg = base
         .shards(1..=4)
         .controller_interval(Duration::from_millis(2))

@@ -51,10 +51,10 @@ impl PeerClient {
     ///
     /// # Errors
     ///
-    /// Connection/handshake I/O failures, or `InvalidData` when the peer
-    /// negotiates below protocol v2 — activation forwarding needs
-    /// correlation IDs, so a v1-only peer is refused outright rather than
-    /// degraded to lock-step.
+    /// Connection/handshake I/O failures, or `InvalidData` when the peer's
+    /// `HELLO_OK` is not at [`PROTOCOL_VERSION`] — activation forwarding
+    /// needs its correlation IDs, so a peer speaking any other version is
+    /// refused outright.
     pub fn connect(addr: SocketAddr, window: usize, timeout: Duration) -> io::Result<PeerClient> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_nodelay(true)?;
@@ -73,7 +73,7 @@ impl PeerClient {
         })?;
         let (_, _, reply) = Reply::decode(&payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let negotiated = match reply {
+        let version = match reply {
             Reply::HelloOk { version, .. } => version,
             other => {
                 return Err(io::Error::new(
@@ -82,12 +82,12 @@ impl PeerClient {
                 ))
             }
         };
-        if negotiated < 2 {
+        if version != PROTOCOL_VERSION {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "peer negotiated protocol v{negotiated}; \
-                     cluster links require v2 correlation IDs"
+                    "peer answered HELLO with protocol v{version}; \
+                     cluster links require v{PROTOCOL_VERSION}"
                 ),
             ));
         }

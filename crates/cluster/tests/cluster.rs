@@ -298,9 +298,10 @@ fn v1_peer_link_is_refused() {
     let err = PeerClient::connect(addr, 8, Duration::from_secs(1))
         .err()
         .expect("v1 peer must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(
-        err.to_string().contains("v2"),
-        "error should explain the version requirement: {err}"
+        err.to_string().contains("protocol version 1 unsupported"),
+        "error should name the refused version: {err}"
     );
 }
 

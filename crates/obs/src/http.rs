@@ -437,22 +437,6 @@ pub fn render_prometheus(state: &ObsState) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn quantiles_json(h: &HistogramSnapshot, qs: &[(&str, f64)]) -> String {
     let fields: Vec<String> = qs
         .iter()
@@ -480,9 +464,10 @@ pub fn render_series(state: &ObsState) -> String {
         .iter()
         .enumerate()
         .map(|(idx, r)| {
+            let mut rule = String::new();
+            hpnn_trace::json_escape_into(&mut rule, &r.text());
             format!(
-                "{{\"rule\":\"{}\",\"breaches\":{}}}",
-                json_escape(&r.text()),
+                "{{\"rule\":\"{rule}\",\"breaches\":{}}}",
                 state.rule_breaches(idx)
             )
         })

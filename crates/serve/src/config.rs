@@ -6,10 +6,6 @@
 //! validates cross-field invariants once, at build time, with typed
 //! [`ConfigError`]s. [`Server::start`](crate::server::Server::start) is the
 //! single entry point consuming it.
-//!
-//! The previous surface — a bare [`BatchConfig`] struct mutated field by
-//! field — survives one release as a deprecated shim convertible into a
-//! [`ServeConfig`] via `From`.
 
 use std::fmt;
 use std::net::SocketAddr;
@@ -19,27 +15,6 @@ use std::time::Duration;
 /// Hard ceiling on `max_shards`: a shard is a deployed network copy plus a
 /// worker thread, so an absurd range is a config bug, not a tuning choice.
 pub const SHARD_CAP: usize = 64;
-
-/// How the scheduler picks a shard for an admitted request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchPolicy {
-    /// Rotate through the active shards in order.
-    RoundRobin,
-    /// Pick the active shard with the fewest queued rows at submit time
-    /// (ties break toward the lowest shard index). The default: under skewed
-    /// load it keeps every queue shallow without coordination.
-    #[default]
-    LeastLoaded,
-}
-
-impl fmt::Display for DispatchPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DispatchPolicy::RoundRobin => write!(f, "round-robin"),
-            DispatchPolicy::LeastLoaded => write!(f, "least-loaded"),
-        }
-    }
-}
 
 /// Cluster role carried inside a [`ServeConfig`].
 ///
@@ -116,7 +91,7 @@ pub enum ConfigError {
     ZeroQueueCap,
     /// `max_rows_per_request` is zero — every request would be rejected.
     ZeroMaxRows,
-    /// `max_inflight_per_conn` is zero — v2 connections could never submit.
+    /// `max_inflight_per_conn` is zero — connections could never submit.
     ZeroMaxInflight,
     /// A batch larger than the queue could never fill.
     BatchExceedsQueueCap {
@@ -214,9 +189,8 @@ impl std::error::Error for ConfigError {}
 /// The complete, validated serve configuration.
 ///
 /// Construct through [`ServeConfig::builder`]; the field documentation
-/// lives on the builder methods. A `Default` config matches the historical
-/// `BatchConfig::default()` behavior: one shard per model, least-loaded
-/// dispatch (trivial at one shard), no cluster role.
+/// lives on the builder methods. A `Default` config runs one shard per
+/// model with no cluster or observability role.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Target rows per coalesced forward.
@@ -228,7 +202,7 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Largest single request, in rows.
     pub max_rows_per_request: usize,
-    /// Most requests one v2 connection may have in flight; further
+    /// Most requests one connection may have in flight; further
     /// submissions get `BUSY` before touching any model queue.
     pub max_inflight_per_conn: usize,
     /// Event-loop threads multiplexing the connection sockets. `0` (the
@@ -241,8 +215,6 @@ pub struct ServeConfig {
     /// start; the controller only moves the *active* bound, so scale-down
     /// never strands queued work.
     pub max_shards: usize,
-    /// How admitted requests choose among active shards.
-    pub dispatch: DispatchPolicy,
     /// Sampling tick of the adaptive shard controller (queue-depth EWMA).
     pub controller_interval: Duration,
     /// Cluster role (stage cuts, peers, offload policy).
@@ -262,7 +234,6 @@ impl Default for ServeConfig {
             event_threads: 0,
             min_shards: 1,
             max_shards: 1,
-            dispatch: DispatchPolicy::LeastLoaded,
             controller_interval: Duration::from_millis(10),
             cluster: ClusterRole::default(),
             obs: ObsRole::default(),
@@ -287,13 +258,9 @@ impl ServeConfig {
 /// Fluent builder for [`ServeConfig`].
 ///
 /// ```
-/// use hpnn_serve::{DispatchPolicy, ServeConfig};
+/// use hpnn_serve::ServeConfig;
 ///
-/// let cfg = ServeConfig::builder()
-///     .max_batch(32)
-///     .shards(1..=8)
-///     .dispatch(DispatchPolicy::LeastLoaded)
-///     .build()?;
+/// let cfg = ServeConfig::builder().max_batch(32).shards(1..=8).build()?;
 /// assert_eq!(cfg.max_shards, 8);
 /// # Ok::<(), hpnn_serve::ConfigError>(())
 /// ```
@@ -328,7 +295,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Per-connection pipelining window for protocol v2 (default 64).
+    /// Per-connection pipelining window (default 64).
     pub fn max_inflight_per_conn(mut self, n: usize) -> Self {
         self.cfg.max_inflight_per_conn = n;
         self
@@ -345,13 +312,6 @@ impl ServeConfigBuilder {
     pub fn shards(mut self, range: RangeInclusive<usize>) -> Self {
         self.cfg.min_shards = *range.start();
         self.cfg.max_shards = *range.end();
-        self
-    }
-
-    /// Dispatch policy among active shards (default
-    /// [`DispatchPolicy::LeastLoaded`]).
-    pub fn dispatch(mut self, policy: DispatchPolicy) -> Self {
-        self.cfg.dispatch = policy;
         self
     }
 
@@ -485,56 +445,6 @@ impl ServeConfigBuilder {
     }
 }
 
-/// Batching and admission-control knobs (legacy surface).
-#[deprecated(
-    since = "0.9.0",
-    note = "use ServeConfig::builder() — BatchConfig is a one-release shim"
-)]
-#[derive(Debug, Clone, Copy)]
-pub struct BatchConfig {
-    /// Target rows per coalesced forward.
-    pub max_batch: usize,
-    /// Longest the oldest queued request may wait for co-riders.
-    pub max_wait: Duration,
-    /// Row capacity of each model's queue; admissions beyond it get `BUSY`.
-    pub queue_cap: usize,
-    /// Largest single request, in rows.
-    pub max_rows_per_request: usize,
-    /// Most requests one v2 connection may have in flight.
-    pub max_inflight_per_conn: usize,
-    /// Event-loop threads (0 = auto).
-    pub event_threads: usize,
-}
-
-#[allow(deprecated)]
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            max_batch: 64,
-            max_wait: Duration::from_micros(200),
-            queue_cap: 1024,
-            max_rows_per_request: 4096,
-            max_inflight_per_conn: 64,
-            event_threads: 0,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<BatchConfig> for ServeConfig {
-    fn from(b: BatchConfig) -> Self {
-        ServeConfig {
-            max_batch: b.max_batch,
-            max_wait: b.max_wait,
-            queue_cap: b.queue_cap,
-            max_rows_per_request: b.max_rows_per_request,
-            max_inflight_per_conn: b.max_inflight_per_conn,
-            event_threads: b.event_threads,
-            ..ServeConfig::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,7 +454,6 @@ mod tests {
         let cfg = ServeConfig::builder().build().unwrap();
         assert_eq!(cfg, ServeConfig::default());
         assert_eq!(cfg.shard_range(), 1..=1);
-        assert_eq!(cfg.dispatch, DispatchPolicy::LeastLoaded);
     }
 
     #[test]
@@ -558,7 +467,6 @@ mod tests {
             .max_inflight_per_conn(7)
             .event_threads(2)
             .shards(2..=5)
-            .dispatch(DispatchPolicy::RoundRobin)
             .controller_interval(Duration::from_millis(1))
             .stage_cuts("3,7")
             .peers(vec![peer])
@@ -572,7 +480,6 @@ mod tests {
         assert_eq!(cfg.max_inflight_per_conn, 7);
         assert_eq!(cfg.event_threads, 2);
         assert_eq!(cfg.shard_range(), 2..=5);
-        assert_eq!(cfg.dispatch, DispatchPolicy::RoundRobin);
         assert_eq!(cfg.cluster.stage_cuts.as_deref(), Some("3,7"));
         assert_eq!(cfg.cluster.peers, vec![peer]);
         assert!(cfg.cluster.offload_all);
@@ -728,24 +635,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroFlightBudget
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn batch_config_converts_to_serve_config() {
-        let legacy = BatchConfig {
-            max_batch: 5,
-            max_wait: Duration::from_millis(2),
-            queue_cap: 10,
-            max_rows_per_request: 9,
-            max_inflight_per_conn: 3,
-            event_threads: 1,
-        };
-        let cfg: ServeConfig = legacy.into();
-        assert_eq!(cfg.max_batch, 5);
-        assert_eq!(cfg.queue_cap, 10);
-        assert_eq!(cfg.shard_range(), 1..=1, "legacy configs stay unsharded");
-        assert_eq!(cfg.dispatch, DispatchPolicy::LeastLoaded);
     }
 
     #[test]

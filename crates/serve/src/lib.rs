@@ -8,9 +8,9 @@
 //!
 //! - [`protocol`] — a versioned, length-prefixed binary wire protocol on
 //!   [`hpnn_bytes`] framing; `f32`s travel as raw bits so logits are
-//!   bit-identical across the wire. Protocol v2 multiplexes many requests
-//!   per connection with correlation IDs (replies may arrive out of
-//!   order); v1 clients negotiate down via `HELLO` and stay lock-step.
+//!   bit-identical across the wire. One version (v2) multiplexes many
+//!   requests per connection with correlation IDs (replies may arrive out
+//!   of order); frames at any other version get a typed `BAD_VERSION`.
 //! - [`config`] — the one serve configuration surface:
 //!   [`ServeConfig::builder`] validates batching, sharding, event-loop,
 //!   cluster, and observability knobs together at build time (the
@@ -19,7 +19,7 @@
 //! - [`scheduler`] — adaptive micro-batching over N-way worker shards:
 //!   per-shard bounded queues coalesce concurrent requests into one
 //!   batched forward (`max_batch` rows or `max_wait`, whichever first),
-//!   with least-loaded/round-robin dispatch, an adaptive controller that
+//!   with least-loaded dispatch, an adaptive controller that
 //!   scales active shards from queue-depth EWMA, `BUSY` backpressure,
 //!   per-request deadlines, and graceful drain.
 //! - [`registry`] — the set of locked models a server exposes, keyed
@@ -28,8 +28,8 @@
 //!   (per-shard included), served over the `STATS` frame.
 //! - [`server`] / [`client`] — TCP front end (a fixed pool of event-loop
 //!   threads multiplexing nonblocking sockets, see [`event`] / [`conn`])
-//!   and the [`Session`] client (`submit → Ticket`, `wait`, `drain`) with
-//!   typed [`ServeError`] results.
+//!   and the [`Session`] client (`submit → Ticket`, `wait`, `drain`, plus
+//!   one-shot `infer`) with typed [`ServeError`] results.
 //! - [`loadgen`] — a reproducible closed-loop load generator, with an
 //!   optional hot-model skew for multi-tenant workloads.
 //!
@@ -43,7 +43,7 @@
 //! ```
 //! use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
 //! use hpnn_nn::mlp;
-//! use hpnn_serve::{DispatchPolicy, InferMode, ServeConfig, ServeRegistry, Server, Session};
+//! use hpnn_serve::{InferMode, ServeConfig, ServeRegistry, Server, Session};
 //! use hpnn_tensor::Rng;
 //!
 //! let mut rng = Rng::new(7);
@@ -56,10 +56,7 @@
 //!
 //! let mut registry = ServeRegistry::new();
 //! registry.add("mlp", model, Some(KeyVault::provision(key, "tpu-0")));
-//! let cfg = ServeConfig::builder()
-//!     .shards(1..=2)
-//!     .dispatch(DispatchPolicy::LeastLoaded)
-//!     .build()?;
+//! let cfg = ServeConfig::builder().shards(1..=2).build()?;
 //! let server = Server::start(registry, cfg, "127.0.0.1:0")?;
 //!
 //! let mut session = Session::connect(server.local_addr())?;
@@ -92,13 +89,9 @@ pub mod registry;
 pub mod scheduler;
 pub mod server;
 
-pub use client::{Client, DrainedTicket, Logits, ServeError, Session, Ticket};
+pub use client::{DrainedTicket, Logits, ServeError, Session, Ticket};
 pub use cluster::{ClusterPlan, RemoteDone, RemoteOutcome, RemoteStageBackend};
-#[allow(deprecated)]
-pub use config::BatchConfig;
-pub use config::{
-    ClusterRole, ConfigError, DispatchPolicy, ObsRole, ServeConfig, ServeConfigBuilder, SHARD_CAP,
-};
+pub use config::{ClusterRole, ConfigError, ObsRole, ServeConfig, ServeConfigBuilder, SHARD_CAP};
 pub use hpnn_bytes::FrameReader;
 pub use loadgen::{LoadPattern, LoadgenConfig, LoadgenReport};
 pub use metrics::{
@@ -106,11 +99,8 @@ pub use metrics::{
     HISTOGRAM_BUCKETS,
 };
 pub use protocol::{
-    negotiate_version, ErrorCode, InferMode, ModelInfo, Reply, Request, WireError,
-    MAX_FRAME_PAYLOAD, PROTOCOL_V1, PROTOCOL_VERSION,
+    ErrorCode, InferMode, ModelInfo, Reply, Request, WireError, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
 };
 pub use registry::{ServeEntry, ServeRegistry};
 pub use scheduler::{Completion, ReplyPayload, Scheduler, SubmitError};
 pub use server::Server;
-#[allow(deprecated)]
-pub use server::{serve, ServerHandle};

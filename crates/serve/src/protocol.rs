@@ -2,23 +2,20 @@
 //!
 //! Every message is one length-prefixed frame ([`hpnn_bytes::Frame`]: a
 //! little-endian `u32` payload length, then a version byte, an opcode byte,
-//! a little-endian `u32` correlation ID when the version is ≥ 2, and an
-//! opcode-specific body). All multi-byte integers are little-endian and
-//! inference inputs/outputs travel as raw `f32` bits, so a logit row is
-//! bit-identical on both ends of the wire.
+//! a little-endian `u32` correlation ID, and an opcode-specific body). All
+//! multi-byte integers are little-endian and inference inputs/outputs
+//! travel as raw `f32` bits, so a logit row is bit-identical on both ends
+//! of the wire.
 //!
-//! Two versions share the listener:
-//!
-//! * **v1** is lock-step: no correlation field, one request in flight per
-//!   connection, replies in request order.
-//! * **v2** is pipelined: every request after `HELLO` carries a `u32`
-//!   correlation ID chosen by the client; replies echo it and may arrive
-//!   out of order. `HELLO` negotiates the version — the server answers
-//!   with `min(requested, PROTOCOL_VERSION)` in `HELLO_OK` and the client
-//!   uses that version for the rest of the connection.
+//! The server speaks exactly one version, [`PROTOCOL_VERSION`] (2), which
+//! is pipelined: every request carries a `u32` correlation ID chosen by the
+//! client; replies echo it and may arrive out of order. `HELLO_OK` still
+//! carries the version field. A frame with any other version byte gets a
+//! typed `ERROR BAD_VERSION` reply framed at [`PROTOCOL_VERSION`], and the
+//! connection stays open.
 //!
 //! Requests: `HELLO`, `INFER` (one sample), `INFER_BATCH` (client-side
-//! batch), `STATS`, `SHUTDOWN`, and `FWD_ACT` (v2 only: an intermediate
+//! batch), `STATS`, `SHUTDOWN`, and `FWD_ACT` (an intermediate
 //! activation forwarded node-to-node in a layer-partitioned cluster — see
 //! [`Request::Forward`]). Replies: `HELLO_OK`, `LOGITS`, `STATS_OK`,
 //! `SHUTDOWN_OK`, `BUSY` (backpressure), and `ERROR` (with a machine
@@ -34,13 +31,8 @@ use hpnn_bytes::{put_frame, Buf, BufMut, BytesMut, Frame};
 
 use crate::metrics::{HistogramSnapshot, ShardStatsSnapshot, StatsSnapshot, HISTOGRAM_BUCKETS};
 
-/// Highest protocol version this build speaks (and the default for new
-/// [`crate::Session`]s).
+/// The one protocol version this build speaks.
 pub const PROTOCOL_VERSION: u8 = 2;
-
-/// The original lock-step protocol version, still accepted on every
-/// connection for backwards compatibility.
-pub const PROTOCOL_V1: u8 = 1;
 
 /// Hard cap on a frame payload; anything larger is a protocol violation.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 24;
@@ -58,11 +50,6 @@ pub(crate) const OP_STATS_OK: u8 = 0x83;
 pub(crate) const OP_SHUTDOWN_OK: u8 = 0x84;
 pub(crate) const OP_BUSY: u8 = 0x90;
 pub(crate) const OP_ERROR: u8 = 0xEE;
-
-/// Picks the connection version from the version byte on a `HELLO` frame.
-pub fn negotiate_version(requested: u8) -> u8 {
-    requested.clamp(PROTOCOL_V1, PROTOCOL_VERSION)
-}
 
 /// Which deployment of a locked model a request runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,7 +198,7 @@ pub enum WireError {
         /// What was being decoded.
         context: &'static str,
     },
-    /// Version byte is outside `PROTOCOL_V1..=PROTOCOL_VERSION`.
+    /// Version byte is not [`PROTOCOL_VERSION`].
     BadVersion(u8),
     /// Opcode byte is not a known request/reply.
     BadOpcode(u8),
@@ -272,8 +259,7 @@ pub struct ModelInfo {
 /// A client→server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Handshake; the version byte on this frame is the client's highest
-    /// supported version, and the server answers with the negotiated one.
+    /// Handshake; the server answers with its model list.
     Hello {
         /// Free-form client identifier (logged, never parsed).
         client: String,
@@ -294,7 +280,7 @@ pub enum Request {
         /// Row-major input values, `rows * cols` long.
         data: Vec<f32>,
     },
-    /// `FWD_ACT` (v2 only): an intermediate activation forwarded from a
+    /// `FWD_ACT`: an intermediate activation forwarded from a
     /// cluster head to the peer hosting `stage` of a layer-partitioned
     /// model. The body is the activation entering that stage; the reply is
     /// a `LOGITS` frame carrying the activation leaving it, matched back
@@ -327,7 +313,7 @@ pub enum Request {
 pub enum Reply {
     /// Handshake answer.
     HelloOk {
-        /// Protocol version negotiated for the rest of the connection.
+        /// The server's protocol version (always [`PROTOCOL_VERSION`]).
         version: u8,
         /// Models available on this server, in id order.
         models: Vec<ModelInfo>,
@@ -393,15 +379,15 @@ fn put_f32s(buf: &mut BytesMut, data: &[f32]) {
 }
 
 /// Splits a frame payload into `(version, opcode, correlation, body)`,
-/// rejecting versions outside the supported range.
+/// rejecting every version but [`PROTOCOL_VERSION`].
 ///
 /// # Errors
 ///
 /// [`WireError::Truncated`] when the header is incomplete for its version,
-/// [`WireError::BadVersion`] outside `PROTOCOL_V1..=PROTOCOL_VERSION`.
+/// [`WireError::BadVersion`] for any other version byte.
 pub fn split_frame(payload: &[u8]) -> Result<(u8, u8, u32, Vec<u8>), WireError> {
     let frame = Frame::parse(payload).map_err(|_| WireError::Truncated { context: "header" })?;
-    if frame.version < PROTOCOL_V1 || frame.version > PROTOCOL_VERSION {
+    if frame.version != PROTOCOL_VERSION {
         return Err(WireError::BadVersion(frame.version));
     }
     Ok((
@@ -442,8 +428,8 @@ impl Request {
     }
 
     /// Encodes the request as one framed wire message (length prefix
-    /// included), appended to `out`. `correlation` is carried on the wire
-    /// only when `version >= 2`.
+    /// included), appended to `out`. `version` is the frame's version
+    /// byte: [`PROTOCOL_VERSION`] for anything a server should accept.
     pub fn encode(&self, out: &mut BytesMut, version: u8, correlation: u32) {
         let mut p = BytesMut::new();
         match self {
@@ -593,7 +579,7 @@ impl Reply {
     }
 
     /// Encodes the reply as one framed wire message appended to `out`,
-    /// echoing `correlation` when `version >= 2`.
+    /// echoing `correlation`; `version` is the frame's version byte.
     pub fn encode(&self, out: &mut BytesMut, version: u8, correlation: u32) {
         let mut p = BytesMut::new();
         match self {
@@ -872,38 +858,32 @@ mod tests {
     use super::*;
     use hpnn_bytes::try_get_frame;
 
+    /// Encodes at [`PROTOCOL_VERSION`] and strips the length prefix.
+    fn frame_payload(encode: impl FnOnce(&mut BytesMut)) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        encode(&mut out);
+        let mut view = out.freeze();
+        let payload = try_get_frame(&mut view, MAX_FRAME_PAYLOAD)
+            .unwrap()
+            .expect("complete frame");
+        assert_eq!(view.remaining(), 0);
+        payload
+    }
+
     fn roundtrip_request(req: Request) {
-        for (version, correlation) in [(PROTOCOL_V1, 0u32), (PROTOCOL_VERSION, 0xDEAD_0001)] {
-            let mut out = BytesMut::new();
-            req.encode(&mut out, version, correlation);
-            let mut view = out.freeze();
-            let payload = try_get_frame(&mut view, MAX_FRAME_PAYLOAD)
-                .unwrap()
-                .expect("complete frame");
-            assert_eq!(view.remaining(), 0);
-            let (got_version, got_corr, got) = Request::decode(&payload).unwrap();
-            assert_eq!(got_version, version);
-            let want_corr = if version >= 2 { correlation } else { 0 };
-            assert_eq!(got_corr, want_corr);
-            assert_eq!(got, req);
-        }
+        let payload = frame_payload(|out| req.encode(out, PROTOCOL_VERSION, 0xDEAD_0001));
+        let (got_version, got_corr, got) = Request::decode(&payload).unwrap();
+        assert_eq!(got_version, PROTOCOL_VERSION);
+        assert_eq!(got_corr, 0xDEAD_0001);
+        assert_eq!(got, req);
     }
 
     fn roundtrip_reply(rep: Reply) {
-        for (version, correlation) in [(PROTOCOL_V1, 0u32), (PROTOCOL_VERSION, 7)] {
-            let mut out = BytesMut::new();
-            rep.encode(&mut out, version, correlation);
-            let mut view = out.freeze();
-            let payload = try_get_frame(&mut view, MAX_FRAME_PAYLOAD)
-                .unwrap()
-                .expect("complete frame");
-            assert_eq!(view.remaining(), 0);
-            let (got_version, got_corr, got) = Reply::decode(&payload).unwrap();
-            assert_eq!(got_version, version);
-            let want_corr = if version >= 2 { correlation } else { 0 };
-            assert_eq!(got_corr, want_corr);
-            assert_eq!(got, rep);
-        }
+        let payload = frame_payload(|out| rep.encode(out, PROTOCOL_VERSION, 7));
+        let (got_version, got_corr, got) = Reply::decode(&payload).unwrap();
+        assert_eq!(got_version, PROTOCOL_VERSION);
+        assert_eq!(got_corr, 7);
+        assert_eq!(got, rep);
     }
 
     #[test]
@@ -1034,20 +1014,17 @@ mod tests {
             cols: 2,
             data: vec![1.0, 2.0],
         }
-        .encode(&mut out, PROTOCOL_V1, 0);
+        .encode(&mut out, PROTOCOL_VERSION, 0);
         // frame: 4-byte length, version, opcode.
         assert_eq!(out[5], OP_INFER);
     }
 
     #[test]
-    fn v2_frames_carry_the_correlation_id() {
+    fn frames_carry_the_correlation_id() {
         let mut out = BytesMut::new();
         Request::Stats.encode(&mut out, PROTOCOL_VERSION, 0x0403_0201);
         // frame: len(2+4), version, opcode, correlation LE.
         assert_eq!(&out[..], &[6, 0, 0, 0, 2, OP_STATS, 1, 2, 3, 4]);
-        let mut out = BytesMut::new();
-        Request::Stats.encode(&mut out, PROTOCOL_V1, 0x0403_0201);
-        assert_eq!(&out[..], &[2, 0, 0, 0, 1, OP_STATS]);
     }
 
     #[test]
@@ -1055,26 +1032,29 @@ mod tests {
         // Version 9 is ≥ 2, so its header carries a correlation field.
         let payload = [9u8, OP_STATS, 0, 0, 0, 0];
         assert_eq!(Request::decode(&payload), Err(WireError::BadVersion(9)));
-        let payload = [0u8, OP_STATS];
-        assert_eq!(Request::decode(&payload), Err(WireError::BadVersion(0)));
+        // Versions below 2 carry no correlation field (2-byte header).
+        for v in [0u8, 1] {
+            let payload = [v, OP_STATS];
+            assert_eq!(Request::decode(&payload), Err(WireError::BadVersion(v)));
+            assert_eq!(Reply::decode(&payload), Err(WireError::BadVersion(v)));
+        }
     }
 
     #[test]
     fn bad_opcode_rejected() {
-        let payload = [PROTOCOL_V1, 0x7F];
+        let payload = [PROTOCOL_VERSION, 0x7F, 0, 0, 0, 0];
         assert_eq!(Request::decode(&payload), Err(WireError::BadOpcode(0x7F)));
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let payload = [PROTOCOL_V1, OP_STATS, 0xAA];
+        let payload = [PROTOCOL_VERSION, OP_STATS, 0, 0, 0, 0, 0xAA];
         assert_eq!(Request::decode(&payload), Err(WireError::TrailingBytes(1)));
     }
 
     #[test]
     fn truncation_rejected_everywhere() {
-        for version in [PROTOCOL_V1, PROTOCOL_VERSION] {
-            let mut out = BytesMut::new();
+        let payload = frame_payload(|out| {
             Request::Infer {
                 model: 1,
                 mode: InferMode::Keyless,
@@ -1083,24 +1063,14 @@ mod tests {
                 cols: 3,
                 data: vec![0.5; 6],
             }
-            .encode(&mut out, version, 11);
-            let full = out.freeze();
-            let payload = full.slice(4..).to_vec(); // drop the frame length prefix
-            for cut in 0..payload.len() {
-                assert!(
-                    Request::decode(&payload[..cut]).is_err(),
-                    "v{version} prefix {cut} decoded"
-                );
-            }
+            .encode(out, PROTOCOL_VERSION, 11)
+        });
+        for cut in 0..payload.len() {
+            assert!(
+                Request::decode(&payload[..cut]).is_err(),
+                "prefix {cut} decoded"
+            );
         }
-    }
-
-    #[test]
-    fn version_negotiation_clamps_to_supported_range() {
-        assert_eq!(negotiate_version(1), 1);
-        assert_eq!(negotiate_version(2), 2);
-        assert_eq!(negotiate_version(0), 1);
-        assert_eq!(negotiate_version(250), PROTOCOL_VERSION);
     }
 
     #[test]

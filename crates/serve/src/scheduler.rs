@@ -3,8 +3,7 @@
 //! Each registered model gets a shard set: `max_shards` bounded queues,
 //! each drained by a dedicated batch worker holding its own deployment of
 //! the model. Connection handlers [`submit`](Scheduler::submit) requests;
-//! a dispatch policy ([`DispatchPolicy`], default least-loaded by queued
-//! rows) picks the shard, and the worker coalesces queued requests into
+//! least-loaded dispatch (fewest queued rows) picks the shard, and the worker coalesces queued requests into
 //! one batched [`Network::forward`] call whenever `max_batch` rows are
 //! waiting **or** the oldest request has waited `max_wait` — classic
 //! adaptive micro-batching: full batches under load, bounded added latency
@@ -35,7 +34,7 @@ use hpnn_nn::Network;
 use hpnn_tensor::{Shape, Tensor, TensorError};
 
 use crate::cluster::{RemoteOutcome, RemoteStageBackend};
-use crate::config::{DispatchPolicy, ServeConfig};
+use crate::config::ServeConfig;
 use crate::metrics::{Histogram, Metrics, ShardStatsSnapshot};
 use crate::protocol::{ErrorCode, InferMode, ModelInfo};
 use crate::registry::ServeRegistry;
@@ -413,15 +412,6 @@ fn pick_least_loaded(depths: &[Option<usize>]) -> Option<usize> {
         .map(|(_, i)| i)
 }
 
-/// Picks the first live shard at or after the round-robin cursor.
-fn pick_round_robin(cursor: usize, alive: &[bool]) -> Option<usize> {
-    let n = alive.len();
-    if n == 0 {
-        return None;
-    }
-    (0..n).map(|k| (cursor + k) % n).find(|&i| alive[i])
-}
-
 /// One controller decision from the smoothed queue depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ScaleStep {
@@ -457,38 +447,23 @@ struct ShardSet {
     /// controller moves it within `min_shards..=max_shards`; shards above
     /// the bound keep draining whatever they already hold.
     active: AtomicUsize,
-    /// Round-robin cursor (only advanced under that policy).
-    rr: AtomicUsize,
     info: ModelInfo,
     partition: Option<Arc<LayerPartition>>,
 }
 
 impl ShardSet {
-    /// Picks a live shard for an admitted request, or `None` when every
-    /// active shard's worker is dead.
-    fn dispatch(&self, policy: DispatchPolicy) -> Option<usize> {
+    /// Picks the least-loaded live shard for an admitted request, or
+    /// `None` when every active shard's worker is dead.
+    fn dispatch(&self) -> Option<usize> {
         let active = self.active.load(Ordering::Acquire).min(self.shards.len());
-        let shards = &self.shards[..active];
-        match policy {
-            DispatchPolicy::LeastLoaded => {
-                let depths: Vec<Option<usize>> = shards
-                    .iter()
-                    .map(|s| {
-                        (!s.dead.load(Ordering::Acquire))
-                            .then(|| s.queue.depth_rows.load(Ordering::Relaxed))
-                    })
-                    .collect();
-                pick_least_loaded(&depths)
-            }
-            DispatchPolicy::RoundRobin => {
-                let alive: Vec<bool> = shards
-                    .iter()
-                    .map(|s| !s.dead.load(Ordering::Acquire))
-                    .collect();
-                let cursor = self.rr.fetch_add(1, Ordering::Relaxed) % active.max(1);
-                pick_round_robin(cursor, &alive)
-            }
-        }
+        let depths: Vec<Option<usize>> = self.shards[..active]
+            .iter()
+            .map(|s| {
+                (!s.dead.load(Ordering::Acquire))
+                    .then(|| s.queue.depth_rows.load(Ordering::Relaxed))
+            })
+            .collect();
+        pick_least_loaded(&depths)
     }
 }
 
@@ -577,7 +552,6 @@ impl Scheduler {
             sets.push(ShardSet {
                 shards,
                 active: AtomicUsize::new(cfg.min_shards.min(cfg.max_shards)),
-                rr: AtomicUsize::new(0),
                 info,
                 partition,
             });
@@ -781,7 +755,7 @@ impl Scheduler {
         // Pick the shard before arming anything: with no live shard the
         // request is rejected without touching a queue.
         let dispatch_start = Instant::now();
-        let picked = set.dispatch(self.cfg.dispatch);
+        let picked = set.dispatch();
         hpnn_trace::span_between(
             "shard.dispatch",
             dispatch_start,
@@ -831,7 +805,8 @@ impl Scheduler {
 
     /// Validates and enqueues a request; the reply arrives on the returned
     /// channel once a batch containing it has run. Thin wrapper over
-    /// [`submit_with`](Scheduler::submit_with) for lock-step callers.
+    /// [`submit_with`](Scheduler::submit_with) for callers that block on
+    /// the reply.
     ///
     /// # Errors
     ///
@@ -1701,16 +1676,6 @@ mod tests {
         // No live shard: no pick.
         assert_eq!(pick_least_loaded(&[None, None]), None);
         assert_eq!(pick_least_loaded(&[]), None);
-    }
-
-    #[test]
-    fn round_robin_skips_dead_shards() {
-        assert_eq!(pick_round_robin(0, &[true, true, true]), Some(0));
-        assert_eq!(pick_round_robin(1, &[true, true, true]), Some(1));
-        assert_eq!(pick_round_robin(1, &[true, false, true]), Some(2));
-        assert_eq!(pick_round_robin(2, &[true, false, false]), Some(0));
-        assert_eq!(pick_round_robin(0, &[false, false]), None);
-        assert_eq!(pick_round_robin(5, &[]), None);
     }
 
     #[test]

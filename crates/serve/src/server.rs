@@ -7,11 +7,10 @@
 //! rebuild the poll set (wake pipe + every live socket, write interest only
 //! when a connection has queued output), poll, then for each ready
 //! connection read-and-decode frames ([`hpnn_bytes::FrameBuffer`]) and
-//! flush the outbound queue. Request dispatch is unchanged in substance
-//! from the thread-per-connection design: v2 `INFER` frames are admitted
-//! into the scheduler with a per-connection in-flight window, v1 frames run
-//! lock-step (the connection's decode is paused — never the loop — until
-//! the completion lands), control frames are answered inline.
+//! flush the outbound queue. `INFER` and `FWD_ACT` frames are admitted into
+//! the scheduler with a per-connection in-flight window; control frames are
+//! answered inline. A frame whose version byte is not [`PROTOCOL_VERSION`]
+//! gets a typed `BAD_VERSION` error and the connection stays open.
 //!
 //! Batch-worker completions never touch a socket: they encode the reply,
 //! push it into the connection's [`ConnHandle`] mailbox, register the
@@ -48,9 +47,7 @@ use crate::config::ServeConfig;
 use crate::conn::{Conn, ConnHandle, FillOutcome, FlushOutcome, Outbound};
 use crate::event::{fd_of, AcceptBackoff, Poller, Ready, WakePipe, Waker};
 use crate::metrics::{Metrics, StatsSnapshot};
-use crate::protocol::{
-    negotiate_version, ErrorCode, InferMode, Reply, Request, PROTOCOL_V1, PROTOCOL_VERSION,
-};
+use crate::protocol::{ErrorCode, InferMode, Reply, Request, PROTOCOL_VERSION};
 use crate::registry::ServeRegistry;
 use crate::scheduler::{Completion, ReplyPayload, Scheduler, SubmitError};
 
@@ -66,13 +63,6 @@ pub struct Server {
     accept_thread: Mutex<Option<thread::JoinHandle<()>>>,
     loop_threads: Mutex<Vec<thread::JoinHandle<()>>>,
 }
-
-/// Former name of [`Server`].
-#[deprecated(
-    since = "0.9.0",
-    note = "renamed to Server; start one with Server::start"
-)]
-pub type ServerHandle = Server;
 
 /// A freshly accepted socket on its way to an event loop.
 struct Incoming {
@@ -150,27 +140,6 @@ fn resolve_event_threads(cfg: &ServeConfig) -> usize {
             .unwrap_or(1)
             .min(4)
     }
-}
-
-/// Binds a listener, deploys every registry model, and starts serving.
-///
-/// Former free-function entry point; [`Server::start`] with a
-/// [`ServeConfig`] is the single configuration surface now.
-///
-/// # Errors
-///
-/// See [`Server::start`].
-#[deprecated(
-    since = "0.9.0",
-    note = "use Server::start with ServeConfig::builder() — BatchConfig is a one-release shim"
-)]
-#[allow(deprecated)]
-pub fn serve(
-    registry: ServeRegistry,
-    cfg: crate::config::BatchConfig,
-    addr: impl ToSocketAddrs,
-) -> io::Result<Server> {
-    Server::start(registry, ServeConfig::from(cfg), addr)
 }
 
 impl Server {
@@ -351,29 +320,28 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 
 /// Encodes a reply into a wire frame, stamping `LOGITS` replies for
 /// writeback accounting.
-fn encode_outbound(reply: &Reply, version: u8, correlation: u32) -> Outbound {
+fn encode_outbound(reply: &Reply, correlation: u32) -> Outbound {
     let mut out = BytesMut::new();
-    reply.encode(&mut out, version, correlation);
+    reply.encode(&mut out, PROTOCOL_VERSION, correlation);
     let reply_ready = matches!(reply, Reply::Logits { .. }).then(|| (Instant::now(), correlation));
     Outbound {
         buf: out.to_vec(),
         reply_ready,
         retire_correlation: None,
-        unblocks_v1: false,
     }
 }
 
 /// Queues a reply directly on a connection owned by the current loop
 /// thread (control replies, admission errors).
-fn push_reply(conn: &mut Conn, reply: &Reply, version: u8, correlation: u32) {
-    conn.enqueue(encode_outbound(reply, version, correlation));
+fn push_reply(conn: &mut Conn, reply: &Reply, correlation: u32) {
+    conn.enqueue(encode_outbound(reply, correlation));
 }
 
 /// Delivers an encoded reply from *outside* the owning loop thread
 /// (batch-worker completions): mailbox the frame, register the handle
-/// dirty, wake the loop. Connection-state effects (correlation retirement,
-/// v1 unblock) ride on the [`Outbound`]'s tags and are applied by the loop
-/// thread at mailbox transfer.
+/// dirty, wake the loop. Correlation retirement rides on the
+/// [`Outbound`]'s tag and is applied by the loop thread at mailbox
+/// transfer.
 fn deliver(lp: &Arc<LoopShared>, handle: &Arc<ConnHandle>, out: Outbound) {
     handle.push(out);
     if !handle.mark_queued() {
@@ -411,9 +379,9 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
                     fd_of(&c.stream),
                     Ready {
                         // Read interest drops while decode is stalled
-                        // (outbound backlog, v1 lock-step, full frame
-                        // buffer) so TCP backpressure reaches the client;
-                        // POLLERR/POLLHUP still surface regardless.
+                        // (outbound backlog, full frame buffer) so TCP
+                        // backpressure reaches the client; POLLERR/POLLHUP
+                        // still surface regardless.
                         readable: c.wants_read(outbound_cap),
                         writable: !c.flushed(),
                     },
@@ -482,9 +450,7 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
                         .record(ready.elapsed().as_nanos() as u64);
                 }
                 if alive {
-                    // `absorb` retires the reply's correlation and — for
-                    // the v1 lock-step reply only, never an interleaved v2
-                    // completion — resumes the paused decode.
+                    // `absorb` retires the reply's correlation.
                     let conn = slab[handle.token].as_mut().expect("alive slot");
                     conn.absorb(out);
                 }
@@ -591,8 +557,7 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
 }
 
 /// Decodes and dispatches every complete frame a connection has buffered,
-/// honoring lock-step pauses, fatal-error closes, and the outbound-queue
-/// backpressure cap.
+/// honoring fatal-error closes and the outbound-queue backpressure cap.
 fn dispatch_frames(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, cap: usize) {
     loop {
         if conn.outbound.len() >= cap {
@@ -606,10 +571,8 @@ fn dispatch_frames(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, 
             Ok(None) => return,
             Err(FrameTooLong { declared, max }) => {
                 // Lying length prefix: the stream cannot be resynchronized.
-                // Reply in the connection's negotiated version — a v2
-                // session would misparse a v1-framed error — then close.
+                // Reply, then close.
                 Metrics::bump(&shared.metrics.protocol_errors);
-                let version = conn.version;
                 push_reply(
                     conn,
                     &Reply::Error {
@@ -617,7 +580,6 @@ fn dispatch_frames(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, 
                         request_opcode: 0,
                         message: format!("frame declares {declared} bytes, cap is {max}"),
                     },
-                    version,
                     0,
                 );
                 conn.closing = true;
@@ -637,9 +599,7 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
         Ok(f) => f,
         Err(e) => {
             // Too short to even carry an opcode; connection stays open.
-            // Reply in the last version the peer spoke (not hardcoded v1).
             Metrics::bump(&shared.metrics.protocol_errors);
-            let version = conn.version;
             push_reply(
                 conn,
                 &Reply::Error {
@@ -647,17 +607,16 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
                     request_opcode: payload.get(1).copied().unwrap_or(0),
                     message: e.to_string(),
                 },
-                version,
                 0,
             );
             return;
         }
     };
-    if frame.version < PROTOCOL_V1 || frame.version > PROTOCOL_VERSION {
+    let correlation = frame.correlation;
+    if frame.version != PROTOCOL_VERSION {
+        // Answered at the version we speak, so a current client decodes
+        // the rejection; the connection stays open.
         Metrics::bump(&shared.metrics.protocol_errors);
-        // Reply in the nearest version we both might speak so the client
-        // can at least decode the rejection.
-        let reply_version = negotiate_version(frame.version);
         push_reply(
             conn,
             &Reply::Error {
@@ -665,16 +624,10 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
                 request_opcode: frame.opcode,
                 message: format!("protocol version {} unsupported", frame.version),
             },
-            reply_version,
-            frame.correlation,
+            correlation,
         );
         return;
     }
-    let version = frame.version;
-    let correlation = frame.correlation;
-    // Remember the negotiated version for error replies to frames too
-    // broken to carry one themselves.
-    conn.version = version;
     let request = match Request::decode_body(frame.opcode, &frame.payload) {
         Ok(r) => r,
         Err(e) => {
@@ -687,7 +640,6 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
                     request_opcode: frame.opcode,
                     message: e.to_string(),
                 },
-                version,
                 correlation,
             );
             return;
@@ -699,10 +651,9 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
             push_reply(
                 conn,
                 &Reply::HelloOk {
-                    version: negotiate_version(version),
+                    version: PROTOCOL_VERSION,
                     models: shared.scheduler.models(),
                 },
-                version,
                 correlation,
             );
         }
@@ -724,11 +675,7 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
                 data,
                 opcode: frame.opcode,
             };
-            if version >= 2 {
-                infer_pipelined(shared, lp, conn, correlation, args);
-            } else {
-                infer_lockstep(shared, lp, conn, args);
-            }
+            infer_pipelined(shared, lp, conn, correlation, args);
         }
         Request::Forward {
             model,
@@ -739,23 +686,6 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
             cols,
             data,
         } => {
-            // Activation forwarding is inherently pipelined: a v1 peer link
-            // has no correlation IDs to match replies on, so the frame is
-            // refused rather than guessed at.
-            if version < 2 {
-                Metrics::bump(&shared.metrics.protocol_errors);
-                push_reply(
-                    conn,
-                    &Reply::Error {
-                        code: ErrorCode::BadVersion,
-                        request_opcode: frame.opcode,
-                        message: "FWD_ACT requires protocol v2".into(),
-                    },
-                    version,
-                    correlation,
-                );
-                return;
-            }
             let args = InferArgs {
                 model,
                 stage: Some(stage),
@@ -769,12 +699,7 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
             infer_pipelined(shared, lp, conn, correlation, args);
         }
         Request::Stats => {
-            push_reply(
-                conn,
-                &Reply::StatsOk(Box::new(shared.stats())),
-                version,
-                correlation,
-            );
+            push_reply(conn, &Reply::StatsOk(Box::new(shared.stats())), correlation);
         }
         Request::Shutdown => {
             // Drain first: every outstanding completion (this connection's
@@ -789,12 +714,9 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
                         .writeback
                         .record(ready.elapsed().as_nanos() as u64);
                 }
-                // drain() guarantees every outstanding completion (any
-                // pending v1 lock-step reply included) is in the mailbox,
-                // so absorb also clears `v1_blocked` where due.
                 conn.absorb(out);
             }
-            push_reply(conn, &Reply::ShutdownOk, version, correlation);
+            push_reply(conn, &Reply::ShutdownOk, correlation);
             conn.closing = true;
         }
     }
@@ -861,63 +783,7 @@ fn deadline_from_us(deadline_us: u32) -> Option<Instant> {
     }
 }
 
-/// v1 path: submit, pause the connection's decode (never the loop), reply
-/// in order when the completion lands.
-fn infer_lockstep(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, args: InferArgs) {
-    if args.data.len() != args.rows.saturating_mul(args.cols) {
-        push_reply(
-            conn,
-            &Reply::Error {
-                code: ErrorCode::Malformed,
-                request_opcode: args.opcode,
-                message: format!(
-                    "{} values for {}x{} input",
-                    args.data.len(),
-                    args.rows,
-                    args.cols
-                ),
-            },
-            PROTOCOL_V1,
-            0,
-        );
-        return;
-    }
-    let deadline = deadline_from_us(args.deadline_us);
-    let admit_span = hpnn_trace::span!("conn.admit", args.rows);
-    let opcode = args.opcode;
-    let completion_lp = Arc::clone(lp);
-    let completion_handle = Arc::clone(&conn.handle);
-    let done = Completion::new(move |payload| {
-        let reply = payload_reply(payload, opcode);
-        let mut out = encode_outbound(&reply, PROTOCOL_V1, 0);
-        // Tagged so the loop resumes this connection's decode exactly when
-        // *this* reply transfers — an interleaved v2 completion must not.
-        out.unblocks_v1 = true;
-        deliver(&completion_lp, &completion_handle, out);
-    });
-    let submitted = shared.scheduler.submit_with(
-        args.model, args.mode, args.rows, args.cols, args.data, deadline, done,
-    );
-    drop(admit_span);
-    match submitted {
-        Ok(()) => {
-            shared.metrics.depth.record_value(1); // lock-step depth
-            conn.v1_blocked = true;
-        }
-        Err((e, done)) => {
-            done.dismiss();
-            let reply = if matches!(e, SubmitError::Busy) {
-                Metrics::bump(&shared.metrics.busy);
-                Reply::Busy
-            } else {
-                submit_error_reply(&e, opcode)
-            };
-            push_reply(conn, &reply, PROTOCOL_V1, 0);
-        }
-    }
-}
-
-/// v2 path: admit without blocking; the completion (fired by a batch
+/// Admits a request without blocking; the completion (fired by a batch
 /// worker) encodes the reply into the connection's mailbox, echoing the
 /// correlation ID.
 fn infer_pipelined(
@@ -941,7 +807,6 @@ fn infer_pipelined(
                     args.cols
                 ),
             },
-            PROTOCOL_VERSION,
             correlation,
         );
         return;
@@ -958,7 +823,6 @@ fn infer_pipelined(
                     request_opcode: args.opcode,
                     message: format!("correlation {correlation} is already in flight"),
                 },
-                PROTOCOL_VERSION,
                 correlation,
             );
             return;
@@ -967,7 +831,7 @@ fn infer_pipelined(
             Metrics::bump(&shared.metrics.busy);
             drop(inflight);
             hpnn_trace::instant!("conn.busy", correlation);
-            push_reply(conn, &Reply::Busy, PROTOCOL_VERSION, correlation);
+            push_reply(conn, &Reply::Busy, correlation);
             return;
         }
         // Reserve the slot before submitting so the completion — which may
@@ -982,7 +846,7 @@ fn infer_pipelined(
     let completion_handle = Arc::clone(&conn.handle);
     let mut done = Completion::new(move |payload| {
         let reply = payload_reply(payload, opcode);
-        let mut out = encode_outbound(&reply, PROTOCOL_VERSION, correlation);
+        let mut out = encode_outbound(&reply, correlation);
         // The correlation retires on the loop thread when this reply
         // transfers to the outbound queue — not here. Retiring early would
         // let the loop observe a half-closed connection with window depth
@@ -1016,7 +880,7 @@ fn infer_pipelined(
             } else {
                 submit_error_reply(&e, opcode)
             };
-            push_reply(conn, &reply, PROTOCOL_VERSION, correlation);
+            push_reply(conn, &reply, correlation);
         }
     }
 }

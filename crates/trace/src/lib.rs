@@ -519,7 +519,9 @@ pub fn take() -> Trace {
 // Chrome trace-event JSON
 // ---------------------------------------------------------------------------
 
-fn json_escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` escaped for use inside a JSON string literal:
+/// quotes, backslashes and control characters (as `\u00XX`).
+pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -618,6 +620,17 @@ impl Trace {
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    #[test]
+    fn json_escape_controls_and_quotes() {
+        let escape = |s: &str| {
+            let mut out = String::new();
+            json_escape_into(&mut out, s);
+            out
+        };
+        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+        assert_eq!(escape("plain"), "plain");
+    }
 
     /// Tracing state is process-global; tests that flip it are serialized.
     fn lock() -> std::sync::MutexGuard<'static, ()> {

@@ -9,7 +9,7 @@
 //! hpnn attack  --model FILE --dataset fashion|cifar10|svhn --alpha F [--init stolen|random]
 //! hpnn serve   --model FILE [--model FILE ...] [--key HEX] [--addr HOST:PORT]
 //!              [--max-batch N] [--max-wait-us N] [--queue-cap N] [--max-inflight N]
-//!              [--event-threads N] [--shards MIN..MAX] [--dispatch POLICY]
+//!              [--event-threads N] [--shards MIN..MAX]
 //!              [--trace-out FILE]
 //!              [--metrics-addr HOST:PORT] [--obs-tick-ms N] [--obs-history N]
 //!              [--slo RULE ...] [--flight-dir DIR] [--flight-max-dumps N]
@@ -35,8 +35,7 @@ use hpnn::core::{HpnnKey, HpnnTrainer, KeyVault, LayerPartition, LockedModel};
 use hpnn::data::{Benchmark, Dataset, DatasetScale};
 use hpnn::nn::{mlp, ArchKind, ImageDims, TrainConfig};
 use hpnn::serve::{
-    ClusterPlan, DispatchPolicy, InferMode, LoadPattern, LoadgenConfig, ServeConfig, ServeRegistry,
-    Server,
+    ClusterPlan, InferMode, LoadPattern, LoadgenConfig, ServeConfig, ServeRegistry, Server,
 };
 use hpnn::tensor::Rng;
 
@@ -86,7 +85,6 @@ fn print_usage() {
          \x20         [--event-threads N]                 socket event-loop threads (0 = auto, default)\n\
          \x20         [--shards MIN..MAX]                 worker shards per model; a single N pins the count,\n\
          \x20                                             a range lets the controller scale adaptively\n\
-         \x20         [--dispatch POLICY]                 least-loaded (default) | round-robin\n\
          \x20         [--trace-out FILE]                  write a Chrome/Perfetto trace on shutdown\n\
          \x20         [--metrics-addr HOST:PORT]          HTTP exposition: /metrics /healthz /readyz /series\n\
          \x20         [--obs-tick-ms N] [--obs-history N] collector tick (default 1000) and ring depth (120)\n\
@@ -372,17 +370,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if let Some(v) = flag(args, "--shards") {
         builder = builder.shards(parse_shards(&v)?);
     }
-    if let Some(v) = flag(args, "--dispatch") {
-        builder = builder.dispatch(match v.as_str() {
-            "least-loaded" => DispatchPolicy::LeastLoaded,
-            "round-robin" => DispatchPolicy::RoundRobin,
-            other => {
-                return Err(
-                    format!("unknown --dispatch `{other}` (least-loaded | round-robin)").into(),
-                )
-            }
-        });
-    }
     if let Some(cuts) = flag(args, "--stage") {
         builder = builder.stage_cuts(cuts);
     }
@@ -477,8 +464,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7433".to_string());
     let shard_note = if cfg.max_shards > 1 {
         format!(
-            ", {}..={} shards per model ({})",
-            cfg.min_shards, cfg.max_shards, cfg.dispatch
+            ", {}..={} shards per model (least-loaded)",
+            cfg.min_shards, cfg.max_shards
         )
     } else {
         String::new()
@@ -671,7 +658,7 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
     }
     if switch(args, "--shutdown") {
         let mut admin =
-            hpnn::serve::Client::connect(cfg.addr.as_str()).map_err(|e| e.to_string())?;
+            hpnn::serve::Session::connect(cfg.addr.as_str()).map_err(|e| e.to_string())?;
         admin.shutdown().map_err(|e| e.to_string())?;
         println!("server shut down");
     }
@@ -741,7 +728,7 @@ fn positional_addr(args: &[String], default: &str) -> String {
 
 fn cmd_stats(args: &[String]) -> CliResult {
     let addr = positional_addr(args, "127.0.0.1:7433");
-    let mut client = hpnn::serve::Client::connect(addr.as_str()).map_err(|e| e.to_string())?;
+    let mut client = hpnn::serve::Session::connect(addr.as_str()).map_err(|e| e.to_string())?;
     let stats = client.stats().map_err(|e| e.to_string())?;
     let uptime = stats.uptime_ns as f64 / 1e9;
     println!(
