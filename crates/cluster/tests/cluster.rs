@@ -145,6 +145,39 @@ fn keyless_worker_refuses_trusted_stage_and_serves_offloadable() {
 }
 
 #[test]
+fn fwd_act_to_unpartitioned_model_is_malformed() {
+    let (model, _key) = locked_model(6);
+    let mut reg = ServeRegistry::new();
+    reg.add("m", model, None);
+    let server = Server::start(reg, quick_cfg(), "127.0.0.1:0").unwrap();
+    let mut session = Session::connect(server.local_addr()).unwrap();
+    session.hello("test").unwrap();
+    let corr = session
+        .send(&Request::Forward {
+            model: 0,
+            stage: 0,
+            mode: InferMode::Keyless,
+            deadline_us: 0,
+            rows: 1,
+            cols: 4,
+            data: vec![0.5; 4],
+        })
+        .unwrap();
+    let (reply_corr, reply) = session.recv().unwrap();
+    assert_eq!(reply_corr, corr);
+    match reply {
+        Reply::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+    let stats = server.metrics();
+    assert_eq!(
+        stats.fwd_recv, 0,
+        "a stage of no partition is never admitted"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn two_node_pipeline_bit_identical_and_counters_reconcile() {
     let (model, key) = locked_model(2);
     let partition = partition_of(&model);

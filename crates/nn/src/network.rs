@@ -97,41 +97,14 @@ impl Network {
     /// Runs the network forward. With `train = true`, layers cache state for
     /// a subsequent [`backward`](Network::backward).
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(
-            input.shape().cols(),
-            self.in_features,
-            "network input features {} != {}",
-            input.shape().cols(),
-            self.in_features
-        );
-        // Each intermediate activation goes back to the scratch arena as
-        // soon as the next layer has consumed it (layers copy anything they
-        // need to cache), so steady-state training reuses the same storage
-        // every step.
-        let rows = input.shape().dims()[0] as u64;
-        let mut layers = self.layers.iter_mut();
-        let mut x = match layers.next() {
-            Some(first) => {
-                let _span = hpnn_trace::span_dyn(first.name(), Some(rows));
-                first.forward(input, train)
-            }
-            None => return input.clone(),
-        };
-        for layer in layers {
-            let y = {
-                let _span = hpnn_trace::span_dyn(layer.name(), Some(rows));
-                layer.forward(&x, train)
-            };
-            scratch::recycle_tensor(std::mem::replace(&mut x, y));
-        }
-        x
+        self.forward_range(input, train, 0..self.layers.len())
     }
 
-    /// Runs only the layers in `range` forward (inference), treating
-    /// `input` as the activation entering `range.start`. Splitting a
-    /// forward pass into consecutive ranges is bitwise identical to one
-    /// full [`forward`](Network::forward): the per-layer loop is the same
-    /// code, and no layer's arithmetic depends on its neighbours.
+    /// Runs only the layers in `range` forward, treating `input` as the
+    /// activation entering `range.start`. [`forward`](Network::forward) is
+    /// this over every layer, so splitting a pass into consecutive ranges
+    /// is bitwise identical to one full forward: the per-layer loop is the
+    /// same code, and no layer's arithmetic depends on its neighbours.
     ///
     /// This is the execution primitive behind distributed layer
     /// partitioning: each cluster stage runs one contiguous range and
@@ -169,15 +142,18 @@ impl Network {
             range.start
         );
         let rows = input.shape().dims()[0] as u64;
-        let mut layers = self.layers[range].iter_mut();
-        let mut x = match layers.next() {
-            Some(first) => {
-                let _span = hpnn_trace::span_dyn(first.name(), Some(rows));
-                first.forward(input, train)
-            }
-            None => return input.clone(),
+        // Each intermediate activation goes back to the scratch arena as
+        // soon as the next layer has consumed it (layers copy anything they
+        // need to cache), so steady-state training reuses the same storage
+        // every step.
+        let (first, rest) = self.layers[range]
+            .split_first_mut()
+            .expect("range is non-empty");
+        let mut x = {
+            let _span = hpnn_trace::span_dyn(first.name(), Some(rows));
+            first.forward(input, train)
         };
-        for layer in layers {
+        for layer in rest {
             let y = {
                 let _span = hpnn_trace::span_dyn(layer.name(), Some(rows));
                 layer.forward(&x, train)

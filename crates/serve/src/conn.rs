@@ -42,23 +42,21 @@ pub struct Outbound {
     /// For completion replies: the correlation to remove from the
     /// connection's in-flight window when this reply transfers to the
     /// outbound queue. Retiring on the loop thread (not on the worker that
-    /// fired the completion) keeps `ConnWindow::depth` nonzero until the
-    /// reply is queued, so a half-closed connection can never be reclaimed
-    /// with its reply still in the mailbox.
+    /// fired the completion) keeps the window non-empty until the reply is
+    /// queued, so a half-closed connection can never be reclaimed with its
+    /// reply still in the mailbox.
     pub retire_correlation: Option<u32>,
 }
 
 /// The cross-thread face of a connection: completions push encoded replies
 /// here and the owning event loop drains them. Also carries the dirty-list
-/// dedup flag and the closed marker that tells late completions their
-/// connection is gone.
+/// dedup flag.
 #[derive(Debug)]
 pub struct ConnHandle {
     /// Slab slot of the owning connection in its event loop.
     pub token: usize,
     out: Mutex<VecDeque<Outbound>>,
     queued: AtomicBool,
-    closed: AtomicBool,
 }
 
 impl ConnHandle {
@@ -68,7 +66,6 @@ impl ConnHandle {
             token,
             out: Mutex::new(VecDeque::new()),
             queued: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
         }
     }
 
@@ -93,39 +90,6 @@ impl ConnHandle {
     /// draining [`take`](Self::take) so no push can slip between unnoticed.
     pub fn clear_queued(&self) {
         self.queued.store(false, Ordering::Release);
-    }
-
-    /// Marks the connection gone; late completions still deliver into the
-    /// mailbox (the loop drains and discards them for exact histogram
-    /// accounting), but callers can skip encoding work if they see this.
-    pub fn set_closed(&self) {
-        self.closed.store(true, Ordering::Release);
-    }
-
-    /// Whether [`set_closed`](Self::set_closed) ran.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-}
-
-/// Correlation IDs currently in flight on one connection, shared
-/// between admission (event loop) and the completions that clear them
-/// (batch workers).
-#[derive(Debug, Default)]
-pub struct ConnWindow {
-    /// In-flight correlation IDs.
-    pub inflight: Mutex<HashSet<u32>>,
-}
-
-impl ConnWindow {
-    /// An empty window.
-    pub fn new() -> Self {
-        ConnWindow::default()
-    }
-
-    /// How many requests are currently in flight.
-    pub fn depth(&self) -> usize {
-        self.inflight.lock().unwrap().len()
     }
 }
 
@@ -164,18 +128,16 @@ pub struct Conn {
     front_written: usize,
     /// Cross-thread reply mailbox for this slot.
     pub handle: std::sync::Arc<ConnHandle>,
-    /// In-flight correlation window (pipelining).
-    pub window: std::sync::Arc<ConnWindow>,
+    /// Correlation IDs in flight (the pipelining window). Only the loop
+    /// thread touches it: admission inserts, [`absorb`](Conn::absorb)
+    /// retires.
+    pub inflight: HashSet<u32>,
     /// The peer sent EOF; no more frames will arrive but queued replies
     /// still flush.
     pub read_closed: bool,
     /// Fatal protocol error: flush what is queued, then close. Decoding
     /// stops immediately.
     pub closing: bool,
-    /// Whether this connection was counted in `metrics.connections`
-    /// (shutdown-poke and stopping-window connections are served but not
-    /// counted).
-    pub counted: bool,
 }
 
 impl Conn {
@@ -194,10 +156,9 @@ impl Conn {
             outbound: VecDeque::new(),
             front_written: 0,
             handle,
-            window: std::sync::Arc::new(ConnWindow::new()),
+            inflight: HashSet::new(),
             read_closed: false,
             closing: false,
-            counted: true,
         })
     }
 
@@ -257,7 +218,7 @@ impl Conn {
     /// reply still in a mailbox.
     pub fn absorb(&mut self, out: Outbound) {
         if let Some(corr) = out.retire_correlation {
-            self.window.inflight.lock().unwrap().remove(&corr);
+            self.inflight.remove(&corr);
         }
         self.outbound.push_back(out);
     }
@@ -296,7 +257,7 @@ impl Conn {
     /// sending, every in-flight request resolved, and all replies are on
     /// the wire.
     pub fn retired(&self) -> bool {
-        self.read_closed && self.outbound.is_empty() && self.window.depth() == 0
+        self.read_closed && self.outbound.is_empty() && self.inflight.is_empty()
     }
 }
 
@@ -405,9 +366,6 @@ mod tests {
         assert_eq!(drained[0].buf, vec![1, 2, 3]);
         assert!(handle.take().is_empty());
         assert!(!handle.mark_queued(), "re-armed after clear_queued");
-        assert!(!handle.is_closed());
-        handle.set_closed();
-        assert!(handle.is_closed());
     }
 
     #[test]
@@ -416,7 +374,7 @@ mod tests {
         let handle = std::sync::Arc::new(ConnHandle::new(0));
         let mut conn = Conn::new(server, handle).unwrap();
         conn.read_closed = true;
-        conn.window.inflight.lock().unwrap().insert(7);
+        conn.inflight.insert(7);
         // Half-closed peer, nothing queued — but a reply is still owed:
         // the slot must not be reclaimed.
         assert!(!conn.retired(), "reply in flight, cannot retire");
@@ -424,7 +382,7 @@ mod tests {
         let mut reply = plain(vec![1]);
         reply.retire_correlation = Some(7);
         conn.absorb(reply);
-        assert_eq!(conn.window.depth(), 0, "correlation retired at transfer");
+        assert!(conn.inflight.is_empty(), "correlation retired at transfer");
         assert_eq!(conn.outbound.len(), 1);
         assert!(!conn.retired(), "reply queued but not yet written");
         conn.outbound.clear();

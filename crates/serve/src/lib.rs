@@ -21,7 +21,11 @@
 //!   batched forward (`max_batch` rows or `max_wait`, whichever first),
 //!   with least-loaded dispatch, an adaptive controller that
 //!   scales active shards from queue-depth EWMA, `BUSY` backpressure,
-//!   per-request deadlines, and graceful drain.
+//!   per-request deadlines, and graceful drain. Every batch group —
+//!   whole-network `INFER`, cluster-head stage walk, or one `FWD_ACT`
+//!   stage — runs through one executor that walks contiguous layer
+//!   segments; a remote hop carries no deadline unless every request in
+//!   the group has one, and then the latest.
 //! - [`registry`] — the set of locked models a server exposes, keyed
 //!   and/or keyless.
 //! - [`metrics`] — atomic counters plus power-of-two latency histograms

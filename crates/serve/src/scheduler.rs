@@ -2,12 +2,28 @@
 //!
 //! Each registered model gets a shard set: `max_shards` bounded queues,
 //! each drained by a dedicated batch worker holding its own deployment of
-//! the model. Connection handlers [`submit`](Scheduler::submit) requests;
-//! least-loaded dispatch (fewest queued rows) picks the shard, and the worker coalesces queued requests into
-//! one batched [`Network::forward`] call whenever `max_batch` rows are
-//! waiting **or** the oldest request has waited `max_wait` — classic
-//! adaptive micro-batching: full batches under load, bounded added latency
-//! when idle.
+//! the model. The server [`submit`](Scheduler::submit_with)s requests;
+//! least-loaded dispatch (fewest queued rows) picks the shard, and the
+//! worker coalesces queued requests into one batch whenever `max_batch`
+//! rows are waiting **or** the oldest request has waited `max_wait` —
+//! classic adaptive micro-batching: full batches under load, bounded added
+//! latency when idle.
+//!
+//! **One forward path.** A popped batch splits into groups by (mode,
+//! stage), and every group is one walk over a contiguous run of layer
+//! segments, executed by one function:
+//!
+//! - an unpartitioned model has a single segment spanning all its layers
+//!   (a layer-less model's segment is empty and serves its input as is);
+//! - a partitioned model has one segment per stage. An `INFER` walks all
+//!   of them, offering offloadable ones to the model's
+//!   [`RemoteStageBackend`] (cluster heads); a `FWD_ACT` for stage `s`
+//!   walks segment `s` alone and is never forwarded again.
+//!
+//! A walk parked on a remote hop resumes on the backend's reply thread
+//! through the same shard context. The hop carries no deadline if any
+//! request in the group has none, and otherwise the latest one: like a
+//! local deadline, it only bounds the wait before the work is popped.
 //!
 //! An adaptive controller samples total queued rows per model on a fixed
 //! tick and scales the *active* shard count between `min_shards` and
@@ -23,13 +39,14 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use hpnn_core::{LayerPartition, Stage};
+use hpnn_core::LayerPartition;
 use hpnn_nn::Network;
 use hpnn_tensor::{Shape, Tensor, TensorError};
 
@@ -375,8 +392,22 @@ impl BatchQueue {
     }
 }
 
-/// One shard: a bounded queue drained by a dedicated worker holding its
-/// own deployment, plus the shard-local latency histograms.
+/// One contiguous run of layers a popped group executes as a unit: a
+/// partition stage, or — on an unpartitioned model — every layer.
+struct Segment {
+    layers: Range<usize>,
+    in_features: usize,
+    out_features: usize,
+    /// No lockable neurons: a cluster head may ship it to a peer.
+    offloadable: bool,
+    /// Trace span wrapping the segment's layer spans.
+    span: &'static str,
+}
+
+/// One shard: a bounded queue drained by a dedicated worker, the shard's
+/// own deployments of the model, and the shard-local latency histograms.
+/// It is the whole execution context of every group the shard pops, shared
+/// by the worker and by walks parked on a remote backend's reply thread.
 struct Shard {
     queue: BatchQueue,
     /// Batched-forward wall time per reply served by this shard.
@@ -387,17 +418,40 @@ struct Shard {
     dead: AtomicBool,
     /// Test hook: the next popped batch panics instead of running.
     panic_next: AtomicBool,
+    metrics: Arc<Metrics>,
+    model: u16,
+    /// Keyed deployment, present when the entry has a vault. Both nets sit
+    /// behind mutexes so a walk resumed on a peer reply thread can run its
+    /// tail segments.
+    keyed: Option<Mutex<Network>>,
+    keyless: Mutex<Network>,
+    /// What an `INFER` walks, in order; a `FWD_ACT` for stage `s` runs
+    /// segment `s` alone.
+    segments: Arc<[Segment]>,
+    /// Transport for offloadable segments (cluster heads only).
+    remote: Option<Arc<dyn RemoteStageBackend>>,
 }
 
 impl Shard {
-    fn new() -> Self {
-        Shard {
-            queue: BatchQueue::new(),
-            forward: Histogram::new(),
-            queue_wait: Histogram::new(),
-            dead: AtomicBool::new(false),
-            panic_next: AtomicBool::new(false),
-        }
+    /// Runs one segment over `rows` rows on the deployment `mode` selects —
+    /// the one place a deployment is locked and run forward.
+    fn run_segment(&self, mode: InferMode, seg: &Segment, rows: usize, data: Vec<f32>) -> Vec<f32> {
+        let net = match mode {
+            InferMode::Keyed => self
+                .keyed
+                .as_ref()
+                .expect("keyed requests are rejected at submit when no vault exists"),
+            InferMode::Keyless => &self.keyless,
+        };
+        let x = Tensor::from_vec(Shape::d2(rows, seg.in_features), data)
+            .expect("rows * segment width: checked at submit and on remote output");
+        let _span = hpnn_trace::span_dyn(seg.span, Some(rows as u64));
+        let y = net
+            .lock()
+            .expect("lock poisoned: a forward panicked on this shard")
+            .forward_range(&x, false, seg.layers.clone());
+        debug_assert_eq!(y.shape().dims(), &[rows, seg.out_features]);
+        y.into_vec()
     }
 }
 
@@ -477,7 +531,7 @@ pub struct Scheduler {
     /// Signalled (true + notify) to stop the controller promptly.
     controller_stop: Arc<(Mutex<bool>, Condvar)>,
     /// Remote backends attached via cluster plans; drained after the
-    /// workers so chains parked on peer reply threads resolve too.
+    /// workers so walks parked on peer reply threads resolve too.
     remotes: Vec<Arc<dyn RemoteStageBackend>>,
     draining: AtomicBool,
 }
@@ -513,38 +567,58 @@ impl Scheduler {
                 out_features: entry.model.spec().out_features(),
                 has_key: entry.vault.is_some(),
             };
+            let segments: Arc<[Segment]> = match &partition {
+                Some(p) => p
+                    .stages()
+                    .iter()
+                    .map(|st| Segment {
+                        layers: st.layers.clone(),
+                        in_features: st.in_features,
+                        out_features: st.out_features,
+                        offloadable: !st.trusted_required,
+                        span: "stage.forward",
+                    })
+                    .collect(),
+                // Not `LayerPartition::from_cuts`: a layer-less model has no
+                // partition, yet serves its input unchanged.
+                None => Arc::new([Segment {
+                    layers: 0..entry.model.spec().layers.len(),
+                    in_features: info.in_features,
+                    out_features: info.out_features,
+                    offloadable: false,
+                    span: "batch.forward",
+                }]),
+            };
             let mut shards = Vec::with_capacity(cfg.max_shards);
             for shard_idx in 0..cfg.max_shards {
                 // Each shard holds its own deployment of the same locked
                 // weights. Deployment is deterministic, so every shard's
                 // forward is bit-identical; per-shard nets keep the
                 // `&mut self` forwards from serializing across workers.
-                // They still live behind mutexes so cluster-chain
-                // continuations — which resume on a peer client's reply
-                // thread — can run the tail stages.
                 let keyed = match &entry.vault {
-                    Some(vault) => Some(Arc::new(Mutex::new(entry.model.deploy_trusted(vault)?))),
+                    Some(vault) => Some(Mutex::new(entry.model.deploy_trusted(vault)?)),
                     None => None,
                 };
-                let keyless = Arc::new(Mutex::new(entry.model.deploy_stolen()?));
-                let shard = Arc::new(Shard::new());
-                let ctx = WorkerCtx {
-                    cfg: cfg.clone(),
+                let shard = Arc::new(Shard {
+                    queue: BatchQueue::new(),
+                    forward: Histogram::new(),
+                    queue_wait: Histogram::new(),
+                    dead: AtomicBool::new(false),
+                    panic_next: AtomicBool::new(false),
                     metrics: Arc::clone(&metrics),
-                    keyed,
-                    keyless,
-                    in_features: info.in_features,
-                    out_features: info.out_features,
-                    partition: partition.clone(),
-                    remote: remote.clone(),
                     model: id as u16,
-                };
+                    keyed,
+                    keyless: Mutex::new(entry.model.deploy_stolen()?),
+                    segments: Arc::clone(&segments),
+                    remote: remote.clone(),
+                });
                 let worker_shard = Arc::clone(&shard);
+                let worker_cfg = cfg.clone();
                 let name = entry.name.clone();
                 workers.push(
                     thread::Builder::new()
                         .name(format!("hpnn-batch-{name}-{shard_idx}"))
-                        .spawn(move || batch_worker(worker_shard, ctx))
+                        .spawn(move || batch_worker(worker_shard, worker_cfg))
                         .expect("spawn batch worker"),
                 );
                 shards.push(shard);
@@ -631,6 +705,13 @@ impl Scheduler {
     /// Validates and enqueues a request; `done` fires exactly once with
     /// the outcome after a batch containing the request has run.
     ///
+    /// `stage` is `None` for a whole-network `INFER` and `Some(s)` for a
+    /// `FWD_ACT` executing only partition stage `s` (the worker role of a
+    /// cluster pipeline). A stage request additionally needs a partition
+    /// containing `s`, an input width matching **the stage's** entry width,
+    /// and — the keyless-worker guard — a vault on this node when the
+    /// stage is trusted-required, no matter the requested mode.
+    ///
     /// On admission the global in-flight gauge rises; it falls when `done`
     /// fires (including the [`ReplyPayload::Aborted`] drop path), so
     /// `STATS.inflight` always returns to zero on a drained server.
@@ -640,51 +721,10 @@ impl Scheduler {
     /// Returns the [`SubmitError`] along with the unfired completion, so
     /// the caller chooses whether to answer through it
     /// ([`Completion::complete`]) or on its own path
-    /// ([`Completion::dismiss`]).
-    #[allow(clippy::result_large_err, clippy::too_many_arguments)]
-    pub fn submit_with(
-        &self,
-        model: u16,
-        mode: InferMode,
-        rows: usize,
-        cols: usize,
-        data: Vec<f32>,
-        deadline: Option<Instant>,
-        done: Completion,
-    ) -> Result<(), (SubmitError, Completion)> {
-        self.submit_inner(model, None, mode, rows, cols, data, deadline, done)
-    }
-
-    /// Validates and enqueues a `FWD_ACT` request executing exactly one
-    /// partition stage (the worker role of a cluster pipeline).
-    ///
-    /// Beyond [`submit_with`](Scheduler::submit_with)'s checks: the model
-    /// must carry a partition containing `stage`, the input width must
-    /// match **the stage's** entry width, and — the keyless-worker guard —
-    /// a trusted-required stage on a vault-less node is refused with
-    /// [`SubmitError::TrustedStageRefused`] no matter the requested mode.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_with`](Scheduler::submit_with), plus
+    /// ([`Completion::dismiss`]). Stage requests can also fail with
     /// [`SubmitError::BadStage`] and [`SubmitError::TrustedStageRefused`].
     #[allow(clippy::result_large_err, clippy::too_many_arguments)]
-    pub fn submit_stage_with(
-        &self,
-        model: u16,
-        stage: u16,
-        mode: InferMode,
-        rows: usize,
-        cols: usize,
-        data: Vec<f32>,
-        deadline: Option<Instant>,
-        done: Completion,
-    ) -> Result<(), (SubmitError, Completion)> {
-        self.submit_inner(model, Some(stage), mode, rows, cols, data, deadline, done)
-    }
-
-    #[allow(clippy::result_large_err, clippy::too_many_arguments)]
-    fn submit_inner(
+    pub fn submit_with(
         &self,
         model: u16,
         stage: Option<u16>,
@@ -803,37 +843,6 @@ impl Scheduler {
         }
     }
 
-    /// Validates and enqueues a request; the reply arrives on the returned
-    /// channel once a batch containing it has run. Thin wrapper over
-    /// [`submit_with`](Scheduler::submit_with) for callers that block on
-    /// the reply.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SubmitError`] when the request cannot be admitted; the
-    /// caller maps it onto a `BUSY` or `ERROR` wire reply.
-    pub fn submit(
-        &self,
-        model: u16,
-        mode: InferMode,
-        rows: usize,
-        cols: usize,
-        data: Vec<f32>,
-        deadline: Option<Instant>,
-    ) -> Result<mpsc::Receiver<ReplyPayload>, SubmitError> {
-        let (tx, rx) = mpsc::channel();
-        let done = Completion::new(move |payload| {
-            let _ = tx.send(payload);
-        });
-        match self.submit_with(model, mode, rows, cols, data, deadline, done) {
-            Ok(()) => Ok(rx),
-            Err((e, done)) => {
-                done.dismiss();
-                Err(e)
-            }
-        }
-    }
-
     /// Stops admissions, lets every queued request finish (or expire), and
     /// joins the controller plus the batch workers. Idempotent.
     pub fn drain(&self) {
@@ -855,7 +864,7 @@ impl Scheduler {
         for handle in workers.drain(..) {
             let _ = handle.join();
         }
-        // Workers may have handed whole chains to a remote backend and
+        // Workers may have parked walks on a remote backend and
         // exited; draining the backends resolves those continuations (with
         // `PeerUnavailable` where the reply can no longer arrive), so every
         // completion has fired by the time drain() returns.
@@ -920,100 +929,49 @@ fn controller_loop(
     }
 }
 
-/// Everything one batch worker needs; moved into its thread at start.
-struct WorkerCtx {
-    cfg: ServeConfig,
-    metrics: Arc<Metrics>,
-    keyed: Option<Arc<Mutex<Network>>>,
-    keyless: Arc<Mutex<Network>>,
-    in_features: usize,
-    out_features: usize,
-    partition: Option<Arc<LayerPartition>>,
-    remote: Option<Arc<dyn RemoteStageBackend>>,
-    model: u16,
-}
-
-impl WorkerCtx {
-    fn net_for(&self, mode: InferMode) -> &Arc<Mutex<Network>> {
-        if mode == InferMode::Keyed {
-            self.keyed
-                .as_ref()
-                .expect("keyed requests are rejected at submit when no vault exists")
-        } else {
-            &self.keyless
-        }
-    }
-}
-
 /// Concatenates a group's rows into one contiguous buffer.
-fn concat_rows(group: &[Pending], cols: usize) -> (usize, Vec<f32>) {
-    let total_rows: usize = group.iter().map(|p| p.rows).sum();
-    let mut data = Vec::with_capacity(total_rows * cols);
+fn concat_rows(group: &[Pending]) -> (usize, Vec<f32>) {
+    let rows = group.iter().map(|p| p.rows).sum();
+    let mut data = Vec::with_capacity(group.iter().map(|p| p.data.len()).sum());
     for p in group {
         data.extend_from_slice(&p.data);
     }
-    (total_rows, data)
+    (rows, data)
 }
 
-/// Splits a finished group's output back into per-request replies,
-/// recording the per-reply metrics (global and shard-local).
-///
-/// Metrics land before the reply is released, so a STATS issued right
-/// after a reply always sees it counted. Every stage histogram records
-/// exactly one sample per OK reply, keeping their counts reconciled with
-/// `replies_ok` — and because each OK reply runs on exactly one shard,
-/// `Σ shard.forward.count == replies_ok` holds too.
-#[allow(clippy::too_many_arguments)]
-fn finish_group(
-    metrics: &Metrics,
-    shard: &Shard,
+/// One popped group on its walk over a contiguous run of segments. Owned
+/// by whichever thread advances it: the batch worker, or a remote
+/// backend's reply thread while a hop is in flight.
+struct Walk {
+    shard: Arc<Shard>,
+    mode: InferMode,
     group: Vec<Pending>,
-    out: &[f32],
-    out_features: usize,
-    fwd_ns: u64,
+    rows: usize,
+    /// Segments still to run, in order.
+    todo: Range<usize>,
+    /// Where offloadable segments may go: the shard's backend for an
+    /// `INFER`, `None` for a `FWD_ACT` — forwarded work is never forwarded
+    /// again, so a misconfigured ring cannot loop activations forever.
+    remote: Option<Arc<dyn RemoteStageBackend>>,
     fill_ns: u64,
     popped: Instant,
-) {
-    let mut row = 0usize;
-    for p in group {
-        let chunk = out[row * out_features..(row + p.rows) * out_features].to_vec();
-        row += p.rows;
-        let wait_ns = popped.saturating_duration_since(p.enqueued).as_nanos() as u64;
-        Metrics::bump(&metrics.replies_ok);
-        metrics.e2e.record(p.enqueued.elapsed().as_nanos() as u64);
-        metrics.forward.record(fwd_ns);
-        metrics.queue_wait.record(wait_ns);
-        metrics.batch_fill.record(fill_ns);
-        shard.forward.record(fwd_ns);
-        shard.queue_wait.record(wait_ns);
-        hpnn_trace::span_between("queue.wait", p.enqueued, popped, Some(p.done.trace_id()));
-        // The callback may be a no-op by now (client disconnected
-        // mid-flight); the work still counts.
-        p.done.complete(ReplyPayload::Logits {
-            rows: p.rows,
-            cols: out_features,
-            data: chunk,
-        });
-    }
+    fwd_start: Instant,
 }
-
-/// One popped batch regrouped by (mode, stage), arrival order preserved.
-type BatchGroups = Vec<((InferMode, Option<u16>), Vec<Pending>)>;
 
 /// Runs one shard's coalescing loop until the queue drains dry — or a
 /// batch panics, in which case the shard is marked dead, its queue is
 /// answered with `Internal`, and the worker exits instead of stranding
 /// clients until their deadlines.
-fn batch_worker(shard: Arc<Shard>, ctx: WorkerCtx) {
-    while let Some(batch) = shard.queue.pop_batch(&ctx.cfg) {
+fn batch_worker(shard: Arc<Shard>, cfg: ServeConfig) {
+    while let Some(batch) = shard.queue.pop_batch(&cfg) {
         // The batch (and every completion in it) moves into the guarded
         // call; an unwind drops the completions, which fire `Aborted` —
         // the server maps that to an `Internal` wire error.
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            process_batch(&shard, &ctx, batch);
+            process_batch(&shard, batch);
         }));
         if outcome.is_err() {
-            Metrics::bump(&ctx.metrics.worker_panics);
+            Metrics::bump(&shard.metrics.worker_panics);
             shard.dead.store(true, Ordering::Release);
             shard.queue.fail_queued();
             return;
@@ -1021,8 +979,11 @@ fn batch_worker(shard: Arc<Shard>, ctx: WorkerCtx) {
     }
 }
 
-/// Expires, groups, and runs one popped batch.
-fn process_batch(shard: &Arc<Shard>, ctx: &WorkerCtx, batch: Vec<Pending>) {
+/// One popped batch regrouped by (mode, stage), arrival order preserved.
+type BatchGroups = Vec<((InferMode, Option<u16>), Vec<Pending>)>;
+
+/// Expires, groups, and walks one popped batch.
+fn process_batch(shard: &Arc<Shard>, batch: Vec<Pending>) {
     if shard.panic_next.swap(false, Ordering::AcqRel) {
         panic!("injected batch-worker panic (fail_next_batch)");
     }
@@ -1037,14 +998,12 @@ fn process_batch(shard: &Arc<Shard>, ctx: &WorkerCtx, batch: Vec<Pending>) {
     let fill_ns = popped.saturating_duration_since(oldest).as_nanos() as u64;
     let batch_rows: usize = batch.iter().map(|p| p.rows).sum();
     hpnn_trace::span_between("batch.fill", oldest, popped, Some(batch_rows as u64));
-    // Group by (mode, stage), preserving arrival order within each
-    // group, and expire requests whose deadline already passed. A
-    // stage group runs one `forward_range`; the whole-network groups
-    // run the full forward (or the partition chain on cluster heads).
+    // Group by (mode, stage), preserving arrival order within each group,
+    // and expire requests whose deadline already passed.
     let mut groups: BatchGroups = Vec::new();
     for p in batch {
         if p.deadline.is_some_and(|d| d < popped) {
-            Metrics::bump(&ctx.metrics.expired);
+            Metrics::bump(&shard.metrics.expired);
             p.done.complete(ReplyPayload::Expired);
             continue;
         }
@@ -1055,252 +1014,194 @@ fn process_batch(shard: &Arc<Shard>, ctx: &WorkerCtx, batch: Vec<Pending>) {
         }
     }
     for ((mode, stage), group) in groups {
-        match stage {
-            Some(s) => run_stage_group(shard, ctx, s, mode, group, fill_ns, popped),
-            None => run_full_group(shard, ctx, mode, group, fill_ns, popped),
-        }
+        let (todo, remote) = match stage {
+            Some(s) => (s as usize..s as usize + 1, None),
+            None => (0..shard.segments.len(), shard.remote.clone()),
+        };
+        let (rows, data) = concat_rows(&group);
+        let walk = Walk {
+            shard: Arc::clone(shard),
+            mode,
+            group,
+            rows,
+            todo,
+            remote,
+            fill_ns,
+            popped,
+            fwd_start: Instant::now(),
+        };
+        advance(walk, data);
     }
 }
 
-/// Worker role: executes exactly one partition stage for a `FWD_ACT`
-/// group. Always local — forwarded work is never forwarded again, so a
-/// misconfigured ring cannot loop activations forever.
-fn run_stage_group(
-    shard: &Arc<Shard>,
-    ctx: &WorkerCtx,
-    stage_idx: u16,
-    mode: InferMode,
-    group: Vec<Pending>,
-    fill_ns: u64,
-    popped: Instant,
-) {
-    let partition = ctx
-        .partition
-        .as_ref()
-        .expect("stage submits are rejected without a partition");
-    let stage = partition.stage(stage_idx as usize);
-    let (total_rows, data) = concat_rows(&group, stage.in_features);
-    let x = Tensor::from_vec(Shape::d2(total_rows, stage.in_features), data)
-        .expect("submit validated rows * stage in_features");
-    let fwd_start = Instant::now();
-    let y = {
-        let _span = hpnn_trace::span!("stage.forward", total_rows);
-        ctx.net_for(mode)
-            .lock()
-            .unwrap()
-            .forward_range(&x, false, stage.layers.clone())
-    };
-    let fwd_ns = fwd_start.elapsed().as_nanos() as u64;
-    Metrics::bump(&ctx.metrics.batches);
-    debug_assert_eq!(y.shape().dims(), &[total_rows, stage.out_features]);
-    finish_group(
-        &ctx.metrics,
-        shard,
-        group,
-        y.data(),
-        stage.out_features,
-        fwd_ns,
-        fill_ns,
-        popped,
+/// Walks a group through its remaining segments and answers it. Local
+/// segments run inline; an offloadable one is offered to the remote
+/// backend and the walk parks until the reply. A refusal runs the segment
+/// locally — offloading degrades to single-node execution, never to an
+/// error, unless the work was already in flight when the peer died.
+fn advance(mut walk: Walk, mut data: Vec<f32>) {
+    let shard = Arc::clone(&walk.shard);
+    while let Some(i) = walk.todo.next() {
+        let seg = &shard.segments[i];
+        if seg.offloadable {
+            if let Some(remote) = walk.remote.clone() {
+                offload(walk, remote.as_ref(), i, data);
+                return;
+            }
+        }
+        data = shard.run_segment(walk.mode, seg, walk.rows, data);
+    }
+    let fwd_ns = walk.fwd_start.elapsed().as_nanos() as u64;
+    Metrics::bump(&shard.metrics.batches);
+    let out_features = shard.segments[walk.todo.end - 1].out_features;
+    finish_group(walk, &data, out_features, fwd_ns);
+}
+
+/// The deadline a cluster hop carries: none if any request in the group
+/// has none, otherwise the latest. Like a single-node deadline, it only
+/// bounds the wait before a worker pops the hop, so it must never expire
+/// a request that would still be served locally.
+fn hop_deadline(group: &[Pending]) -> Option<Instant> {
+    group
+        .iter()
+        .map(|p| p.deadline)
+        .reduce(|a, b| a.zip(b).map(|(a, b)| a.max(b)))
+        .flatten()
+}
+
+/// Ships segment `i` of a walk to the remote backend; the reply (or the
+/// synchronous refusal) resumes the walk at segment `i + 1`.
+fn offload(walk: Walk, remote: &dyn RemoteStageBackend, i: usize, data: Vec<f32>) {
+    let seg = &walk.shard.segments[i];
+    let (rows, cols, out_len) = (walk.rows, seg.in_features, walk.rows * seg.out_features);
+    let model = walk.shard.model;
+    let metrics = Arc::clone(&walk.shard.metrics);
+    let deadline = hop_deadline(&walk.group);
+    let sent = Instant::now();
+    // Offloadable segments hold no lockable neurons, so the keyless
+    // deployment computes them bit-identically — the wire always asks for
+    // keyless, and vault-less workers stay usable.
+    let accepted = remote.forward(
+        model,
+        i as u16,
+        InferMode::Keyless,
+        rows,
+        cols,
+        data,
+        deadline,
+        Box::new(move |outcome| match outcome {
+            RemoteOutcome::Output(out) => {
+                walk.shard
+                    .metrics
+                    .remote_wait
+                    .record(sent.elapsed().as_nanos() as u64);
+                hpnn_trace::span_between("cluster.remote", sent, Instant::now(), Some(i as u64));
+                if out.len() == out_len {
+                    advance(walk, out);
+                } else {
+                    // A peer that answers with the wrong shape is as good
+                    // as gone.
+                    fail_walk(walk, ErrorCode::PeerUnavailable);
+                }
+            }
+            RemoteOutcome::Refused(data) => {
+                let shard = Arc::clone(&walk.shard);
+                let out = shard.run_segment(walk.mode, &shard.segments[i], walk.rows, data);
+                advance(walk, out);
+            }
+            RemoteOutcome::Failed(code) => fail_walk(walk, code),
+        }),
     );
+    if accepted {
+        Metrics::bump(&metrics.fwd_sent);
+    }
 }
 
-/// Head/solo role: runs a whole-network group — the classic single
-/// coalesced forward when the model is unpartitioned, or the stage chain
-/// (with remote offload) when it carries a cluster plan.
-fn run_full_group(
-    shard: &Arc<Shard>,
-    ctx: &WorkerCtx,
-    mode: InferMode,
-    group: Vec<Pending>,
-    fill_ns: u64,
-    popped: Instant,
-) {
-    let Some(partition) = ctx.partition.clone() else {
-        let (total_rows, data) = concat_rows(&group, ctx.in_features);
-        let x = Tensor::from_vec(Shape::d2(total_rows, ctx.in_features), data)
-            .expect("submit validated rows * in_features");
-        let fwd_start = Instant::now();
-        let y = {
-            let _fwd_span = hpnn_trace::span!("batch.forward", total_rows);
-            ctx.net_for(mode).lock().unwrap().forward(&x, false)
-        };
-        let fwd_ns = fwd_start.elapsed().as_nanos() as u64;
-        Metrics::bump(&ctx.metrics.batches);
-        debug_assert_eq!(y.shape().dims(), &[total_rows, ctx.out_features]);
-        finish_group(
-            &ctx.metrics,
-            shard,
-            group,
-            y.data(),
-            ctx.out_features,
-            fwd_ns,
-            fill_ns,
-            popped,
-        );
-        return;
-    };
-    let (total_rows, data) = concat_rows(&group, ctx.in_features);
-    let chain = ChainGroup {
-        metrics: Arc::clone(&ctx.metrics),
-        shard: Arc::clone(shard),
-        keyed: ctx.keyed.clone(),
-        keyless: Arc::clone(&ctx.keyless),
-        remote: ctx.remote.clone(),
-        partition,
-        model: ctx.model,
-        mode,
-        group,
-        fill_ns,
-        popped,
-        fwd_start: Instant::now(),
-        total_rows,
-    };
-    advance_chain(chain, 0, data);
-}
-
-/// One whole-network group mid-chain; owned by whichever thread is
-/// advancing it (the batch worker, or a remote backend's reply thread).
-struct ChainGroup {
-    metrics: Arc<Metrics>,
-    /// The shard that popped the batch; its histograms receive the chain's
-    /// replies even when the chain finishes on a peer reply thread.
-    shard: Arc<Shard>,
-    keyed: Option<Arc<Mutex<Network>>>,
-    keyless: Arc<Mutex<Network>>,
-    remote: Option<Arc<dyn RemoteStageBackend>>,
-    partition: Arc<LayerPartition>,
-    model: u16,
-    mode: InferMode,
-    group: Vec<Pending>,
-    fill_ns: u64,
-    popped: Instant,
-    fwd_start: Instant,
-    total_rows: usize,
-}
-
-/// Runs one stage of a chain group locally.
-fn run_stage_local(chain: &ChainGroup, stage: &Stage, data: Vec<f32>) -> Vec<f32> {
-    let x = Tensor::from_vec(Shape::d2(chain.total_rows, stage.in_features), data)
-        .expect("chain stage widths align by construction");
-    let net = if chain.mode == InferMode::Keyed {
-        chain
-            .keyed
-            .as_ref()
-            .expect("keyed requests are rejected at submit when no vault exists")
-    } else {
-        &chain.keyless
-    };
-    let _span = hpnn_trace::span!("stage.forward", chain.total_rows);
-    let y = net
-        .lock()
-        .unwrap()
-        .forward_range(&x, false, stage.layers.clone());
-    y.data().to_vec()
-}
-
-/// Fails every request in a chain whose remote hop cannot be recovered.
-fn fail_chain(chain: ChainGroup, code: ErrorCode) {
-    for p in chain.group {
+/// Fails every request in a walk whose remote hop cannot be recovered.
+fn fail_walk(walk: Walk, code: ErrorCode) {
+    for p in walk.group {
         p.done.complete(ReplyPayload::Failed { code });
     }
 }
 
-/// Advances a chain group from `stage_idx` to completion: local stages run
-/// inline; an offloadable stage is offered to the remote backend and the
-/// chain parks until the reply (or refusal, which runs the stage locally —
-/// offloading degrades to single-node execution, never to an error, unless
-/// the work was already in flight when the peer died).
-fn advance_chain(chain: ChainGroup, mut stage_idx: usize, mut data: Vec<f32>) {
-    loop {
-        if stage_idx == chain.partition.len() {
-            let fwd_ns = chain.fwd_start.elapsed().as_nanos() as u64;
-            Metrics::bump(&chain.metrics.batches);
-            let metrics = Arc::clone(&chain.metrics);
-            let shard = Arc::clone(&chain.shard);
-            let out_features = chain.partition.out_features();
-            finish_group(
-                &metrics,
-                &shard,
-                chain.group,
-                &data,
-                out_features,
-                fwd_ns,
-                chain.fill_ns,
-                chain.popped,
-            );
-            return;
-        }
-        let stage = chain.partition.stage(stage_idx).clone();
-        // Trusted-required stages never leave this node.
-        let offload_via = (!stage.trusted_required)
-            .then(|| chain.remote.clone())
-            .flatten();
-        if let Some(remote) = offload_via {
-            let bump_metrics = Arc::clone(&chain.metrics);
-            let done_metrics = Arc::clone(&chain.metrics);
-            let sent = Instant::now();
-            let deadline = chain.group.iter().filter_map(|p| p.deadline).min();
-            let rows = chain.total_rows;
-            let stage_u16 = stage_idx as u16;
-            let model = chain.model;
-            let cols = stage.in_features;
-            // Offloadable stages hold no lockable neurons, so the keyless
-            // deployment computes them bit-identically — the wire always
-            // asks for keyless, and vault-less workers stay usable.
-            let accepted = remote.forward(
-                model,
-                stage_u16,
-                InferMode::Keyless,
-                rows,
-                cols,
-                data,
-                deadline,
-                Box::new(move |outcome| match outcome {
-                    RemoteOutcome::Output(out) => {
-                        done_metrics
-                            .remote_wait
-                            .record(sent.elapsed().as_nanos() as u64);
-                        hpnn_trace::span_between(
-                            "cluster.remote",
-                            sent,
-                            Instant::now(),
-                            Some(u64::from(stage_u16)),
-                        );
-                        if out.len() == rows * stage.out_features {
-                            advance_chain(chain, stage_idx + 1, out);
-                        } else {
-                            // A peer that answers with the wrong shape is
-                            // as good as gone.
-                            fail_chain(chain, ErrorCode::PeerUnavailable);
-                        }
-                    }
-                    RemoteOutcome::Refused(data) => {
-                        let out = run_stage_local(&chain, &stage, data);
-                        advance_chain(chain, stage_idx + 1, out);
-                    }
-                    RemoteOutcome::Failed(code) => fail_chain(chain, code),
-                }),
-            );
-            if accepted {
-                Metrics::bump(&bump_metrics.fwd_sent);
-            }
-            return;
-        }
-        data = run_stage_local(&chain, &stage, data);
-        stage_idx += 1;
+/// Splits a finished walk's output back into per-request replies,
+/// recording the per-reply metrics (global and shard-local).
+///
+/// Metrics land before the reply is released, so a STATS issued right
+/// after a reply always sees it counted. Every stage histogram records
+/// exactly one sample per OK reply, keeping their counts reconciled with
+/// `replies_ok` — and because each OK reply runs on exactly one shard,
+/// `Σ shard.forward.count == replies_ok` holds too.
+fn finish_group(walk: Walk, out: &[f32], out_features: usize, fwd_ns: u64) {
+    let shard = &walk.shard;
+    let metrics = &shard.metrics;
+    let mut row = 0usize;
+    for p in walk.group {
+        let chunk = out[row * out_features..(row + p.rows) * out_features].to_vec();
+        row += p.rows;
+        let wait_ns = walk.popped.saturating_duration_since(p.enqueued).as_nanos() as u64;
+        Metrics::bump(&metrics.replies_ok);
+        metrics.e2e.record(p.enqueued.elapsed().as_nanos() as u64);
+        metrics.forward.record(fwd_ns);
+        metrics.queue_wait.record(wait_ns);
+        metrics.batch_fill.record(walk.fill_ns);
+        shard.forward.record(fwd_ns);
+        shard.queue_wait.record(wait_ns);
+        hpnn_trace::span_between(
+            "queue.wait",
+            p.enqueued,
+            walk.popped,
+            Some(p.done.trace_id()),
+        );
+        // The callback may be a no-op by now (client disconnected
+        // mid-flight); the work still counts.
+        p.done.complete(ReplyPayload::Logits {
+            rows: p.rows,
+            cols: out_features,
+            data: chunk,
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterPlan;
     use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
-    use hpnn_nn::mlp;
+    use hpnn_nn::{mlp, NetworkSpec};
     use hpnn_tensor::Rng;
+    use std::sync::mpsc;
     use std::time::Duration;
 
-    fn registry_with_mlp(seed: u64) -> ServeRegistry {
+    impl Scheduler {
+        /// Blocking wrapper over [`Scheduler::submit_with`] for a
+        /// whole-network request: the reply arrives on the returned channel.
+        fn submit(
+            &self,
+            model: u16,
+            mode: InferMode,
+            rows: usize,
+            cols: usize,
+            data: Vec<f32>,
+            deadline: Option<Instant>,
+        ) -> Result<mpsc::Receiver<ReplyPayload>, SubmitError> {
+            let (tx, rx) = mpsc::channel();
+            let done = Completion::new(move |payload| {
+                let _ = tx.send(payload);
+            });
+            match self.submit_with(model, None, mode, rows, cols, data, deadline, done) {
+                Ok(()) => Ok(rx),
+                Err((e, done)) => {
+                    done.dismiss();
+                    Err(e)
+                }
+            }
+        }
+    }
+
+    /// A locked mlp(4, [6], 3) — Dense, locked Activation, Dense — and
+    /// the vault that unlocks it.
+    fn locked_mlp(seed: u64) -> (LockedModel, KeyVault) {
         let mut rng = Rng::new(seed);
         let spec = mlp(4, &[6], 3);
         let key = HpnnKey::random(&mut rng);
@@ -1308,9 +1209,36 @@ mod tests {
         let mut net = spec.build(&mut rng).unwrap();
         net.install_lock_factors(&schedule.derive_lock_factors(&key));
         let model = LockedModel::from_network(spec, &mut net, schedule, ModelMetadata::default());
+        (model, KeyVault::provision(key, "dev"))
+    }
+
+    fn registry_with_mlp(seed: u64) -> ServeRegistry {
+        let (model, vault) = locked_mlp(seed);
         let mut reg = ServeRegistry::new();
-        reg.add("mlp", model, Some(KeyVault::provision(key, "dev")));
+        reg.add("mlp", model, Some(vault));
         reg
+    }
+
+    /// `registry_with_mlp` split at [1, 2] into offloadable / trusted /
+    /// offloadable stages, with `remote` as the head's backend (or none:
+    /// a worker plan).
+    fn partitioned_registry(
+        seed: u64,
+        remote: Option<Arc<dyn RemoteStageBackend>>,
+    ) -> (ServeRegistry, LockedModel, KeyVault) {
+        let (model, vault) = locked_mlp(seed);
+        let partition = Arc::new(LayerPartition::from_cuts(model.spec(), &[1, 2]).unwrap());
+        let mut reg = ServeRegistry::new();
+        reg.add("mlp", model.clone(), Some(vault.clone()));
+        reg.set_plan(0, ClusterPlan { partition, remote });
+        (reg, model, vault)
+    }
+
+    fn logits_bits(payload: ReplyPayload) -> Vec<u32> {
+        match payload {
+            ReplyPayload::Logits { data, .. } => data.iter().map(|v| v.to_bits()).collect(),
+            other => panic!("expected logits, got {other:?}"),
+        }
     }
 
     fn quick_cfg() -> ServeConfig {
@@ -1571,7 +1499,7 @@ mod tests {
             let _ = tx.send(p);
         });
         let (e, done) = sched
-            .submit_with(9, InferMode::Keyed, 1, 4, vec![0.0; 4], None, done)
+            .submit_with(9, None, InferMode::Keyed, 1, 4, vec![0.0; 4], None, done)
             .expect_err("unknown model must be rejected");
         assert_eq!(e, SubmitError::UnknownModel(9));
         assert!(
@@ -1845,5 +1773,175 @@ mod tests {
         // Exact reconciliation: every OK reply ran on exactly one shard.
         let shard_replies: u64 = sched.shard_stats().iter().map(|sh| sh.forward.count).sum();
         assert_eq!(shard_replies, s.replies_ok);
+    }
+
+    /// A backend modelling a worker that pops every hop late: a hop that
+    /// carries a deadline comes back `DEADLINE_EXCEEDED`, one without is
+    /// refused so the head runs the stage itself.
+    #[derive(Default)]
+    struct LateWorker {
+        deadlines: Mutex<Vec<Option<Instant>>>,
+    }
+
+    impl RemoteStageBackend for LateWorker {
+        fn forward(
+            &self,
+            _model: u16,
+            _stage: u16,
+            _mode: InferMode,
+            _rows: usize,
+            _cols: usize,
+            data: Vec<f32>,
+            deadline: Option<Instant>,
+            done: crate::cluster::RemoteDone,
+        ) -> bool {
+            self.deadlines.lock().unwrap().push(deadline);
+            match deadline {
+                Some(_) => {
+                    done(RemoteOutcome::Failed(ErrorCode::DeadlineExceeded));
+                    true
+                }
+                None => {
+                    done(RemoteOutcome::Refused(data));
+                    false
+                }
+            }
+        }
+
+        fn drain(&self) {}
+    }
+
+    #[test]
+    fn hop_deadline_never_expires_a_request_without_one() {
+        let late = Arc::new(LateWorker::default());
+        let (reg, _, _) = partitioned_registry(16, Some(late.clone()));
+        // Two one-row requests fill a batch: they pop together, at once.
+        let cfg = ServeConfig::builder()
+            .max_batch(2)
+            .max_wait(Duration::from_secs(5))
+            .queue_cap(64)
+            .max_rows_per_request(32)
+            .build()
+            .unwrap();
+        let sched = Scheduler::start(&reg, cfg, Arc::new(Metrics::new())).unwrap();
+        let patient = sched
+            .submit(0, InferMode::Keyed, 1, 4, vec![0.5; 4], None)
+            .unwrap();
+        let hurried = sched
+            .submit(
+                0,
+                InferMode::Keyed,
+                1,
+                4,
+                vec![0.25; 4],
+                Some(Instant::now() + Duration::from_millis(1)),
+            )
+            .unwrap();
+        // The request sent without a deadline is always answered.
+        assert!(matches!(
+            patient.recv().unwrap(),
+            ReplyPayload::Logits { rows: 1, .. }
+        ));
+        // Its co-rider either expired before the pop or rode the same
+        // deadline-free hops.
+        assert!(matches!(
+            hurried.recv().unwrap(),
+            ReplyPayload::Logits { .. } | ReplyPayload::Expired
+        ));
+        sched.drain();
+        let seen = late.deadlines.lock().unwrap();
+        assert!(!seen.is_empty(), "the offloadable stages were offered");
+        assert!(
+            seen.iter().all(Option::is_none),
+            "a group with a deadline-free request ships deadline-free hops"
+        );
+    }
+
+    #[test]
+    fn hop_carries_the_latest_deadline() {
+        let now = Instant::now();
+        let pending = |deadline| Pending {
+            mode: InferMode::Keyed,
+            stage: None,
+            rows: 1,
+            data: vec![0.0; 4],
+            enqueued: now,
+            deadline,
+            done: Completion::new(|_| {}),
+        };
+        let (early, late) = (now + Duration::from_millis(1), now + Duration::from_secs(1));
+        let both = [pending(Some(late)), pending(Some(early))];
+        assert_eq!(hop_deadline(&both), Some(late));
+        let mixed = [pending(Some(early)), pending(None)];
+        assert_eq!(hop_deadline(&mixed), None);
+    }
+
+    #[test]
+    fn fwd_act_to_unpartitioned_model_is_a_bad_stage() {
+        let reg = registry_with_mlp(17);
+        let metrics = Arc::new(Metrics::new());
+        let sched = Scheduler::start(&reg, quick_cfg(), Arc::clone(&metrics)).unwrap();
+        let (e, done) = sched
+            .submit_with(
+                0,
+                Some(0),
+                InferMode::Keyless,
+                1,
+                4,
+                vec![0.0; 4],
+                None,
+                Completion::new(|_| {}),
+            )
+            .expect_err("an unpartitioned model has no stages");
+        done.dismiss();
+        assert_eq!(e, SubmitError::BadStage { stages: 0, got: 0 });
+        sched.drain();
+        let s = metrics.snapshot();
+        assert_eq!((s.fwd_recv, s.requests), (0, 0), "nothing admitted");
+    }
+
+    #[test]
+    fn worker_plan_infer_matches_direct_deployments_bitwise() {
+        let (reg, model, vault) = partitioned_registry(18, None);
+        let sched = Scheduler::start(&reg, quick_cfg(), Arc::new(Metrics::new())).unwrap();
+        let mut rng = Rng::new(19);
+        let input: Vec<f32> = (0..3 * 4).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
+        let x = Tensor::from_vec(Shape::d2(3, 4), input.clone()).unwrap();
+        for (mode, mut net) in [
+            (InferMode::Keyed, model.deploy_trusted(&vault).unwrap()),
+            (InferMode::Keyless, model.deploy_stolen().unwrap()),
+        ] {
+            let want: Vec<u32> = net
+                .forward(&x, false)
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let rx = sched.submit(0, mode, 3, 4, input.clone(), None).unwrap();
+            assert_eq!(
+                logits_bits(rx.recv().unwrap()),
+                want,
+                "{mode:?} stage walk must match one full forward"
+            );
+        }
+    }
+
+    #[test]
+    fn layerless_model_serves_its_input_unchanged() {
+        let mut rng = Rng::new(20);
+        let spec = NetworkSpec::new(4, Vec::new());
+        let key = HpnnKey::random(&mut rng);
+        let schedule = Schedule::new(0, ScheduleKind::RoundRobin, 0);
+        let mut net = spec.build(&mut rng).unwrap();
+        let model = LockedModel::from_network(spec, &mut net, schedule, ModelMetadata::default());
+        let mut reg = ServeRegistry::new();
+        reg.add("identity", model, Some(KeyVault::provision(key, "dev")));
+        let sched = Scheduler::start(&reg, quick_cfg(), Arc::new(Metrics::new())).unwrap();
+        let input: Vec<f32> = vec![0.5, -1.0, 2.25, 0.0, 3.0, -0.125, 7.5, 1.0];
+        let want: Vec<u32> = input.iter().map(|v| v.to_bits()).collect();
+        for mode in [InferMode::Keyed, InferMode::Keyless] {
+            let rx = sched.submit(0, mode, 2, 4, input.clone(), None).unwrap();
+            assert_eq!(logits_bits(rx.recv().unwrap()), want, "{mode:?}");
+        }
     }
 }

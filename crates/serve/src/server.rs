@@ -33,6 +33,7 @@
 //! ever stalls itself — its socket simply stays write-pending in the poll
 //! set.
 
+use std::collections::VecDeque;
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -64,15 +65,6 @@ pub struct Server {
     loop_threads: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
-/// A freshly accepted socket on its way to an event loop.
-struct Incoming {
-    stream: TcpStream,
-    /// False for connections accepted after shutdown began (including the
-    /// accept-poke): they are served — never silently dropped — but kept
-    /// out of `metrics.connections`.
-    counted: bool,
-}
-
 /// One event loop's cross-thread surface: the wake pipe, the dirty list of
 /// connection handles with mailboxed replies, and the hand-off queue of
 /// freshly accepted sockets.
@@ -80,7 +72,7 @@ struct LoopShared {
     pipe: WakePipe,
     waker: Waker,
     dirty: Mutex<Vec<Arc<ConnHandle>>>,
-    incoming: Mutex<Vec<Incoming>>,
+    incoming: Mutex<Vec<TcpStream>>,
 }
 
 impl LoopShared {
@@ -289,10 +281,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 }
                 let lp = &shared.loops[next % shared.loops.len()];
                 next = next.wrapping_add(1);
-                lp.incoming.lock().unwrap().push(Incoming {
-                    stream,
-                    counted: !stopping,
-                });
+                lp.incoming.lock().unwrap().push(stream);
                 lp.waker.wake();
                 if stopping {
                     break;
@@ -329,6 +318,20 @@ fn encode_outbound(reply: &Reply, correlation: u32) -> Outbound {
         reply_ready,
         retire_correlation: None,
     }
+}
+
+/// Empties a connection's mailbox, recording each `LOGITS` reply's
+/// `writeback` sample as it leaves. Every mailboxed reply leaves through
+/// here exactly once — delivered or, when its connection is gone,
+/// discarded — which is what keeps `writeback.count == replies_ok` exact.
+fn take_mailbox(metrics: &Metrics, handle: &ConnHandle) -> VecDeque<Outbound> {
+    let replies = handle.take();
+    for out in &replies {
+        if let Some((ready, _)) = out.reply_ready {
+            metrics.writeback.record(ready.elapsed().as_nanos() as u64);
+        }
+    }
+    replies
 }
 
 /// Queues a reply directly on a connection owned by the current loop
@@ -411,15 +414,14 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
 
         // Adopt freshly accepted sockets.
         let incoming = std::mem::take(&mut *lp.incoming.lock().unwrap());
-        for inc in incoming {
+        for stream in incoming {
             let slot = free.pop().unwrap_or_else(|| {
                 slab.push(None);
                 slab.len() - 1
             });
             let handle = Arc::new(ConnHandle::new(slot));
-            match Conn::new(inc.stream, Arc::clone(&handle)) {
-                Ok(mut conn) => {
-                    conn.counted = inc.counted;
+            match Conn::new(stream, Arc::clone(&handle)) {
+                Ok(conn) => {
                     slab[slot] = Some(conn);
                     Metrics::bump(&shared.metrics.open_connections);
                 }
@@ -429,29 +431,18 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
 
         // Transfer mailboxed completion replies into their connections'
         // outbound queues. A handle whose slot was reclaimed (client left
-        // while the batch ran) is drained and *counted* anyway so
-        // `writeback.count == replies_ok` stays exact.
+        // while the batch ran) is drained and *counted* anyway.
         let dirty = std::mem::take(&mut *lp.dirty.lock().unwrap());
         for handle in dirty {
             handle.clear_queued();
-            let replies = handle.take();
-            if replies.is_empty() {
-                continue;
-            }
+            let replies = take_mailbox(&shared.metrics, &handle);
             let alive = slab
-                .get(handle.token)
-                .and_then(|s| s.as_ref())
-                .is_some_and(|c| Arc::ptr_eq(&c.handle, &handle));
-            for out in replies {
-                if let Some((ready, _)) = out.reply_ready {
-                    shared
-                        .metrics
-                        .writeback
-                        .record(ready.elapsed().as_nanos() as u64);
-                }
-                if alive {
+                .get_mut(handle.token)
+                .and_then(|s| s.as_mut())
+                .filter(|c| Arc::ptr_eq(&c.handle, &handle));
+            if let Some(conn) = alive {
+                for out in replies {
                     // `absorb` retires the reply's correlation.
-                    let conn = slab[handle.token].as_mut().expect("alive slot");
                     conn.absorb(out);
                 }
             }
@@ -495,16 +486,8 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
             }
             if broken || (conn.closing && conn.flushed()) || conn.retired() {
                 let conn = entry.take().expect("slot");
-                conn.handle.set_closed();
                 // Late replies already mailboxed still count (see above).
-                for out in conn.handle.take() {
-                    if let Some((ready, _)) = out.reply_ready {
-                        shared
-                            .metrics
-                            .writeback
-                            .record(ready.elapsed().as_nanos() as u64);
-                    }
-                }
+                take_mailbox(&shared.metrics, &conn.handle);
                 Metrics::drop_one(&shared.metrics.open_connections);
                 free.push(slot);
             }
@@ -533,15 +516,7 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
             if idle || Instant::now() >= stop_deadline.expect("set above") {
                 // Sweep remaining mailboxes for exact writeback accounting.
                 for conn in slab.iter().flatten() {
-                    conn.handle.set_closed();
-                    for out in conn.handle.take() {
-                        if let Some((ready, _)) = out.reply_ready {
-                            shared
-                                .metrics
-                                .writeback
-                                .record(ready.elapsed().as_nanos() as u64);
-                        }
-                    }
+                    take_mailbox(&shared.metrics, &conn.handle);
                 }
                 let open = slab.iter().flatten().count() as u64;
                 if open > 0 {
@@ -707,13 +682,7 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
             // out; pulling this connection's mailbox here keeps its replies
             // ahead of the SHUTDOWN_OK on the wire.
             shared.drain();
-            for out in conn.handle.take() {
-                if let Some((ready, _)) = out.reply_ready {
-                    shared
-                        .metrics
-                        .writeback
-                        .record(ready.elapsed().as_nanos() as u64);
-                }
+            for out in take_mailbox(&shared.metrics, &conn.handle) {
                 conn.absorb(out);
             }
             push_reply(conn, &Reply::ShutdownOk, correlation);
@@ -811,35 +780,29 @@ fn infer_pipelined(
         );
         return;
     }
-    let depth = {
-        let mut inflight = conn.window.inflight.lock().unwrap();
-        if inflight.contains(&correlation) {
-            Metrics::bump(&shared.metrics.protocol_errors);
-            drop(inflight);
-            push_reply(
-                conn,
-                &Reply::Error {
-                    code: ErrorCode::DuplicateCorrelation,
-                    request_opcode: args.opcode,
-                    message: format!("correlation {correlation} is already in flight"),
-                },
-                correlation,
-            );
-            return;
-        }
-        if inflight.len() >= shared.scheduler.config().max_inflight_per_conn {
-            Metrics::bump(&shared.metrics.busy);
-            drop(inflight);
-            hpnn_trace::instant!("conn.busy", correlation);
-            push_reply(conn, &Reply::Busy, correlation);
-            return;
-        }
-        // Reserve the slot before submitting so the completion — which may
-        // fire on a worker thread before submit_with even returns — always
-        // finds the correlation registered.
-        inflight.insert(correlation);
-        inflight.len() as u64
-    };
+    if conn.inflight.contains(&correlation) {
+        Metrics::bump(&shared.metrics.protocol_errors);
+        push_reply(
+            conn,
+            &Reply::Error {
+                code: ErrorCode::DuplicateCorrelation,
+                request_opcode: args.opcode,
+                message: format!("correlation {correlation} is already in flight"),
+            },
+            correlation,
+        );
+        return;
+    }
+    if conn.inflight.len() >= shared.scheduler.config().max_inflight_per_conn {
+        Metrics::bump(&shared.metrics.busy);
+        hpnn_trace::instant!("conn.busy", correlation);
+        push_reply(conn, &Reply::Busy, correlation);
+        return;
+    }
+    // Reserve the slot before submitting; a rejected submit releases it
+    // below, an admitted one retires at `Conn::absorb`.
+    conn.inflight.insert(correlation);
+    let depth = conn.inflight.len() as u64;
     let deadline = deadline_from_us(args.deadline_us);
     let opcode = args.opcode;
     let completion_lp = Arc::clone(lp);
@@ -859,21 +822,15 @@ fn infer_pipelined(
         deliver(&completion_lp, &completion_handle, out);
     });
     done.set_trace_id(u64::from(correlation));
-    let submitted = match args.stage {
-        Some(stage) => shared.scheduler.submit_stage_with(
-            args.model, stage, args.mode, args.rows, args.cols, args.data, deadline, done,
-        ),
-        None => shared.scheduler.submit_with(
-            args.model, args.mode, args.rows, args.cols, args.data, deadline, done,
-        ),
-    };
-    match submitted {
+    match shared.scheduler.submit_with(
+        args.model, args.stage, args.mode, args.rows, args.cols, args.data, deadline, done,
+    ) {
         Ok(()) => {
             shared.metrics.depth.record_value(depth);
         }
         Err((e, done)) => {
             done.dismiss();
-            conn.window.inflight.lock().unwrap().remove(&correlation);
+            conn.inflight.remove(&correlation);
             let reply = if matches!(e, SubmitError::Busy) {
                 Metrics::bump(&shared.metrics.busy);
                 Reply::Busy
