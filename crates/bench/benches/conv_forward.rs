@@ -11,7 +11,7 @@
 //!
 //! Run with `--quick` (as CI does) for a single-shape smoke run.
 
-use hpnn_bench::timing::{bench, bench_output_path, group, write_json, BenchResult};
+use hpnn_bench::timing::{bench, bench_output_path, group, quick, write_json, BenchResult};
 use hpnn_nn::{Conv2d, Layer};
 use hpnn_tensor::{im2col, matmul, pool, Conv2dGeom, Rng, Shape, Tensor};
 
@@ -106,7 +106,7 @@ impl PerSampleConv {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick();
     let mut rng = Rng::new(23);
 
     // Conv shapes of the paper's MNIST CNN: the input layer and the

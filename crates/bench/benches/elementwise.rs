@@ -12,7 +12,7 @@
 //! Run with `--quick` (as CI does) for a single-shape smoke run. Results
 //! land in `BENCH_elementwise.json` at the repository root.
 
-use hpnn_bench::timing::{bench, bench_output_path, group, write_json, BenchResult};
+use hpnn_bench::timing::{bench, bench_output_path, group, quick, write_json, BenchResult};
 use hpnn_nn::{softmax_cross_entropy, ActKind, Activation, Layer};
 use hpnn_tensor::simd::{self, SimdLevel};
 use hpnn_tensor::{Rng, Shape, Tensor};
@@ -149,7 +149,7 @@ fn sanity_check(batch: usize, features: usize, classes: usize, rng: &mut Rng) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick();
     let level = simd::probe();
     println!("elementwise bench: dispatch level {}", level.name());
 

@@ -23,7 +23,7 @@
 
 use std::time::Duration;
 
-use hpnn_bench::timing::{bench, bench_output_path, group, write_json, BenchResult};
+use hpnn_bench::timing::{bench, bench_output_path, group, quick, write_json, BenchResult};
 use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
 use hpnn_nn::mlp;
 use hpnn_serve::{InferMode, ServeConfig, ServeRegistry, Server, Session};
@@ -50,7 +50,7 @@ fn thread_count() -> Option<usize> {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = quick();
     let sessions_target: usize = if quick { 256 } else { 1024 };
 
     let mut rng = Rng::new(71);

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hpnn_bench::timing::{bench_output_path, fmt_ns, group, write_json, BenchResult};
+use hpnn_bench::timing::{bench_output_path, fmt_ns, group, quick, write_json, BenchResult};
 use hpnn_cluster::{ClusterBackend, CostModel};
 use hpnn_core::{
     HpnnKey, KeyVault, LayerPartition, LockedModel, ModelMetadata, Schedule, ScheduleKind,
@@ -141,8 +141,7 @@ fn drive(label: &str, addr: String, requests_per_client: usize) -> LoadgenReport
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = quick();
     let requests_per_client = if quick { 8 } else { 48 };
 
     group("multi_node");

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hpnn_bench::timing::{bench, bench_output_path, fmt_ns, group, write_json, BenchResult};
+use hpnn_bench::timing::{bench, bench_output_path, fmt_ns, group, quick, write_json, BenchResult};
 use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
 use hpnn_nn::mlp;
 use hpnn_obs::slo::SloRule;
@@ -94,8 +94,7 @@ fn rules() -> Vec<SloRule> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = quick();
     let requests_per_client = if quick { 25 } else { 100 };
 
     // A live server with real traffic behind it, so every observed snapshot

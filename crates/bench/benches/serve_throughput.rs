@@ -25,7 +25,7 @@
 
 use std::time::Duration;
 
-use hpnn_bench::timing::{bench_output_path, fmt_ns, group, write_json, BenchResult};
+use hpnn_bench::timing::{bench_output_path, fmt_ns, group, quick, write_json, BenchResult};
 use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
 use hpnn_nn::{ActKind, LayerSpec, NetworkSpec};
 use hpnn_serve::{InferMode, LoadgenConfig, LoadgenReport, ServeConfig, ServeRegistry, Server};
@@ -222,7 +222,7 @@ fn reconcile(label: &str, report: &LoadgenReport, stats: &hpnn_serve::StatsSnaps
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = quick();
     let pipeline_depth: usize = args
         .iter()
         .position(|a| a == "--depth")

@@ -26,7 +26,7 @@
 
 use std::time::Duration;
 
-use hpnn_bench::timing::{bench_output_path, fmt_ns, group, write_json, BenchResult};
+use hpnn_bench::timing::{bench_output_path, fmt_ns, group, quick, write_json, BenchResult};
 use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
 use hpnn_nn::{mlp, ActKind, LayerSpec, NetworkSpec};
 use hpnn_serve::{
@@ -220,8 +220,7 @@ fn assert_bit_identical(one: &ServeConfig, four: &ServeConfig) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = quick();
     let requests_per_client = if quick { 6 } else { 24 };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 

@@ -22,7 +22,7 @@
 
 use std::time::Duration;
 
-use hpnn_bench::timing::{bench, bench_output_path, fmt_ns, group, write_json, BenchResult};
+use hpnn_bench::timing::{bench, bench_output_path, fmt_ns, group, quick, write_json, BenchResult};
 use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
 use hpnn_nn::mlp;
 use hpnn_serve::{InferMode, LoadgenConfig, LoadgenReport, ServeConfig, ServeRegistry, Server};
@@ -76,8 +76,7 @@ fn serve_run(requests_per_client: usize) -> LoadgenReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = quick();
     let requests_per_client = if quick { 25 } else { 100 };
 
     group("span recording cost");

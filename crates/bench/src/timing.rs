@@ -115,17 +115,31 @@ pub fn write_json(
     std::fs::write(path, doc)
 }
 
-/// Repo-root path for a benchmark output file.
+/// Whether this bench run was started with `--quick`: a short smoke run
+/// (as CI does) rather than a measurement.
+pub fn quick() -> bool {
+    std::env::args().any(|a| a == "--quick")
+}
+
+/// Path for a benchmark output file.
 ///
 /// Cargo runs `[[bench]]` targets with the package directory as the working
-/// directory, which would scatter outputs under `crates/bench/`. All bench
-/// artifacts live at the repository root instead, named `BENCH_<topic>.json`
-/// (one file per bench binary), so CI and the driver scripts can glob
-/// `BENCH_*.json` in one place.
+/// directory, which would scatter outputs under `crates/bench/`. Full runs
+/// write to the repository root instead, named `BENCH_<topic>.json` (one
+/// file per bench binary), so CI and tooling can glob
+/// `BENCH_*.json` in one place. A [`quick`] run's numbers are not
+/// measurements, so they go to `target/bench-quick/` and never overwrite
+/// the committed results.
 pub fn bench_output_path(file_name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file_name)
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    if quick() {
+        let dir = root.join("target/bench-quick");
+        // A failure surfaces as the caller's write error on the file.
+        let _ = std::fs::create_dir_all(&dir);
+        dir.join(file_name)
+    } else {
+        root.join(file_name)
+    }
 }
 
 /// Formats nanoseconds with an adaptive unit.

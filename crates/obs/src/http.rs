@@ -24,7 +24,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hpnn_serve::event::{fd_of, Poller, Ready};
-use hpnn_serve::HistogramSnapshot;
+use hpnn_serve::{HistogramSnapshot, StatKind, SCALAR_STATS};
 
 use crate::{ObsState, ReadyCheck};
 
@@ -257,119 +257,20 @@ fn http_response(status: u16, content_type: &str, body: &str) -> Vec<u8> {
 pub fn render_prometheus(state: &ObsState) -> String {
     let snap = state.current();
     let mut out = String::with_capacity(4096);
-    let mut counter = |name: &str, help: &str, v: u64| {
+    let mut metric = |name: &str, kind: &str, help: &str, v: &dyn std::fmt::Display| {
         out.push_str(&format!(
-            "# HELP hpnn_{name} {help}\n# TYPE hpnn_{name} counter\nhpnn_{name} {v}\n"
+            "# HELP hpnn_{name} {help}\n# TYPE hpnn_{name} {kind}\nhpnn_{name} {v}\n"
         ));
     };
-    counter(
-        "connections_total",
-        "Connections accepted.",
-        snap.connections,
-    );
-    counter(
-        "requests_total",
-        "Inference requests admitted.",
-        snap.requests,
-    );
-    counter("rows_total", "Input rows admitted.", snap.rows);
-    counter(
-        "replies_ok_total",
-        "Requests answered with logits.",
-        snap.replies_ok,
-    );
-    counter("busy_total", "Requests rejected with BUSY.", snap.busy);
-    counter(
-        "expired_total",
-        "Requests expired while queued.",
-        snap.expired,
-    );
-    counter(
-        "protocol_errors_total",
-        "Undecodable frames.",
-        snap.protocol_errors,
-    );
-    counter(
-        "batches_total",
-        "Batched forward calls executed.",
-        snap.batches,
-    );
-    counter(
-        "accept_errors_total",
-        "Failed accept() calls.",
-        snap.accept_errors,
-    );
-    counter(
-        "wakeups_total",
-        "Wake-pipe signals delivered.",
-        snap.wakeups,
-    );
-    counter(
-        "loop_events_total",
-        "Event-loop readiness events.",
-        snap.loop_events,
-    );
-    counter(
-        "fwd_sent_total",
-        "FWD_ACT activations sent to peers.",
-        snap.fwd_sent,
-    );
-    counter(
-        "fwd_recv_total",
-        "FWD_ACT activations answered for peers.",
-        snap.fwd_recv,
-    );
-    counter(
-        "shard_scale_ups_total",
-        "Adaptive shard scale-up events.",
-        snap.shard_scale_ups,
-    );
-    counter(
-        "shard_scale_downs_total",
-        "Adaptive shard scale-down events.",
-        snap.shard_scale_downs,
-    );
-    counter(
-        "worker_panics_total",
-        "Batch workers lost to a panic.",
-        snap.worker_panics,
-    );
-    counter(
-        "keyed_requests_total",
-        "Requests admitted in keyed mode.",
-        snap.keyed_requests,
-    );
-    counter(
-        "keyless_requests_total",
-        "Requests admitted in keyless mode.",
-        snap.keyless_requests,
-    );
-    counter(
-        "trusted_stage_refused_total",
-        "Keyless requests refused at a trusted stage.",
-        snap.trusted_stage_refused,
-    );
-
-    let mut gauge = |name: &str, help: &str, v: String| {
-        out.push_str(&format!(
-            "# HELP hpnn_{name} {help}\n# TYPE hpnn_{name} gauge\nhpnn_{name} {v}\n"
-        ));
-    };
-    gauge(
-        "inflight",
-        "Requests admitted but not yet answered.",
-        snap.inflight.to_string(),
-    );
-    gauge(
-        "open_connections",
-        "Connections registered in an event loop.",
-        snap.open_connections.to_string(),
-    );
-    gauge(
-        "uptime_seconds",
-        "Server uptime.",
-        format!("{:.3}", snap.uptime_ns as f64 / 1e9),
-    );
+    let scalars = SCALAR_STATS.iter().zip(snap.scalars());
+    for (def, v) in scalars.clone().filter(|(d, _)| d.kind == StatKind::Counter) {
+        metric(&format!("{}_total", def.name), "counter", def.help, &v);
+    }
+    for (def, v) in scalars.filter(|(d, _)| d.kind == StatKind::Gauge) {
+        metric(def.name, "gauge", def.help, &v);
+    }
+    let uptime = format!("{:.3}", snap.uptime_ns as f64 / 1e9);
+    metric("uptime_seconds", "gauge", "Server uptime.", &uptime);
 
     // Windowed stage quantiles from the newest completed tick; omitted
     // entirely until the collector has an interval (a scrape then sees the
@@ -380,14 +281,7 @@ pub fn render_prometheus(state: &ObsState) -> String {
             "# HELP hpnn_stage_latency_seconds Windowed stage latency quantiles (last tick).\n\
              # TYPE hpnn_stage_latency_seconds gauge\n",
         );
-        let stages: [(&str, &HistogramSnapshot); 5] = [
-            ("e2e", &delta.e2e),
-            ("queue_wait", &delta.queue_wait),
-            ("batch_fill", &delta.batch_fill),
-            ("forward", &delta.forward),
-            ("writeback", &delta.writeback),
-        ];
-        for (stage, h) in stages {
+        for (stage, h) in delta.stages() {
             if h.count == 0 {
                 continue;
             }
@@ -538,7 +432,7 @@ mod tests {
     use super::*;
     use crate::json::Json;
     use crate::slo::SloRule;
-    use hpnn_serve::Metrics;
+    use hpnn_serve::{Metrics, HISTOGRAM_STATS};
 
     fn test_state(rules: Vec<SloRule>) -> (Arc<Metrics>, ObsState) {
         let m = Arc::new(Metrics::new());
@@ -595,6 +489,51 @@ mod tests {
                 line.split_whitespace().count(),
                 2,
                 "malformed sample line: {line}"
+            );
+        }
+    }
+
+    /// Walks the stats schema: a stat added to the table but not exported
+    /// fails here.
+    #[test]
+    fn prometheus_covers_the_whole_schema() {
+        let (m, state) = test_state(Vec::new());
+        tick(&state); // baseline
+        for h in [
+            &m.e2e,
+            &m.forward,
+            &m.depth,
+            &m.queue_wait,
+            &m.batch_fill,
+            &m.writeback,
+            &m.remote_wait,
+        ] {
+            h.record(1_000_000);
+        }
+        tick(&state);
+        let text = render_prometheus(&state);
+        for def in SCALAR_STATS {
+            let (series, kind) = match def.kind {
+                StatKind::Counter => (format!("hpnn_{}_total", def.name), "counter"),
+                _ => (format!("hpnn_{}", def.name), "gauge"),
+            };
+            let type_line = format!("# TYPE {series} {kind}\n");
+            assert_eq!(
+                text.matches(&type_line).count(),
+                1,
+                "{type_line}in:\n{text}"
+            );
+            let samples = text
+                .lines()
+                .filter(|l| l.starts_with(&format!("{series} ")));
+            assert_eq!(samples.count(), 1, "one {series} sample in:\n{text}");
+        }
+        for def in HISTOGRAM_STATS {
+            let series = format!("hpnn_stage_latency_seconds{{stage=\"{}\",", def.name);
+            assert_eq!(
+                text.contains(&series),
+                def.kind == StatKind::Latency,
+                "{series} in:\n{text}"
             );
         }
     }

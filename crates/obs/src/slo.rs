@@ -20,7 +20,9 @@ pub enum SloMetric {
     P99Ms,
     /// Windowed queue-wait p99, in milliseconds.
     QueueP99Ms,
-    /// `(expired + protocol_errors) / requests` over the tick.
+    /// `(expired + protocol_errors) / (requests + protocol_errors)` over
+    /// the tick: the failed share of every request frame received,
+    /// admitted or not, so a pure garbage flood reads 1.0.
     ErrorRate,
     /// `busy / (requests + busy)` over the tick — the rejected share of
     /// offered load.
@@ -83,7 +85,10 @@ impl SloMetric {
             SloMetric::P99Ms => quantile_ms(&d.e2e, 0.99),
             SloMetric::QueueP99Ms => quantile_ms(&d.queue_wait, 0.99),
             SloMetric::ErrorRate => {
-                (d.requests > 0).then(|| (d.expired + d.protocol_errors) as f64 / d.requests as f64)
+                // A frame that fails to decode is never admitted, so it is
+                // not in `requests`: count it in the denominator too.
+                let offered = d.requests + d.protocol_errors;
+                (offered > 0).then(|| (d.expired + d.protocol_errors) as f64 / offered as f64)
             }
             SloMetric::BusyRate => {
                 let offered = d.requests + d.busy;
@@ -283,7 +288,7 @@ mod tests {
             ..StatsDelta::default()
         };
         assert_eq!(SloMetric::Rps.value(&d), Some(90.0));
-        assert_eq!(SloMetric::ErrorRate.value(&d), Some(0.05));
+        assert_eq!(SloMetric::ErrorRate.value(&d), Some(5.0 / 101.0));
         assert!((SloMetric::BusyRate.value(&d).unwrap() - 10.0 / 110.0).abs() < 1e-12);
         assert_eq!(SloMetric::WorkerPanics.value(&d), Some(2.0));
         assert_eq!(SloMetric::KeylessShare.value(&d), Some(0.25));
@@ -300,6 +305,26 @@ mod tests {
         assert!(p99 > 8.0 && p99 <= 16.5, "p99 = {p99}");
         assert!(SloRule::parse("p99_ms > 5").unwrap().offends(&d));
         assert!(!SloRule::parse("p99_ms > 50").unwrap().offends(&d));
+    }
+
+    #[test]
+    fn error_rate_counts_undecodable_frames_as_offered() {
+        // Malformed frames are never admitted: a tick of pure garbage has
+        // no requests but a defined, maximal error rate.
+        let flood = StatsDelta {
+            interval_ns: 1_000_000_000,
+            protocol_errors: 5,
+            ..StatsDelta::default()
+        };
+        assert_eq!(SloMetric::ErrorRate.value(&flood), Some(1.0));
+        assert!(SloRule::parse("error_rate > 0.5").unwrap().offends(&flood));
+        // A rate never exceeds 1: 30 bad frames among 40 received.
+        let mixed = StatsDelta {
+            requests: 10,
+            protocol_errors: 30,
+            ..flood
+        };
+        assert_eq!(SloMetric::ErrorRate.value(&mixed), Some(0.75));
     }
 
     #[test]

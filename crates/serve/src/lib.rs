@@ -29,7 +29,8 @@
 //! - [`registry`] — the set of locked models a server exposes, keyed
 //!   and/or keyless.
 //! - [`metrics`] — atomic counters plus power-of-two latency histograms
-//!   (per-shard included), served over the `STATS` frame.
+//!   (per-shard included), served over the `STATS` frame; every stat is
+//!   declared once, in one schema table.
 //! - [`server`] / [`client`] — TCP front end (a fixed pool of event-loop
 //!   threads multiplexing nonblocking sockets, see [`event`] / [`conn`])
 //!   and the [`Session`] client (`submit → Ticket`, `wait`, `drain`, plus
@@ -99,8 +100,8 @@ pub use config::{ClusterRole, ConfigError, ObsRole, ServeConfig, ServeConfigBuil
 pub use hpnn_bytes::FrameReader;
 pub use loadgen::{LoadPattern, LoadgenConfig, LoadgenReport};
 pub use metrics::{
-    Histogram, HistogramSnapshot, Metrics, ShardStatsSnapshot, StatsDelta, StatsSnapshot,
-    HISTOGRAM_BUCKETS,
+    Histogram, HistogramSnapshot, Metrics, ShardStatsSnapshot, StatDef, StatKind, StatsDelta,
+    StatsSnapshot, HISTOGRAM_BUCKETS, HISTOGRAM_STATS, SCALAR_STATS,
 };
 pub use protocol::{
     ErrorCode, InferMode, ModelInfo, Reply, Request, WireError, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,

@@ -29,7 +29,9 @@ use std::fmt;
 
 use hpnn_bytes::{put_frame, Buf, BufMut, BytesMut, Frame};
 
-use crate::metrics::{HistogramSnapshot, ShardStatsSnapshot, StatsSnapshot, HISTOGRAM_BUCKETS};
+use crate::metrics::{
+    HistogramSnapshot, ShardStatsSnapshot, StatsSnapshot, HISTOGRAM_BUCKETS, SCALAR_STATS,
+};
 
 /// The one protocol version this build speaks.
 pub const PROTOCOL_VERSION: u8 = 2;
@@ -732,43 +734,18 @@ fn get_histogram(buf: &mut impl Buf) -> Result<HistogramSnapshot, WireError> {
     })
 }
 
+/// Counters on the `STATS_OK` wire: every schema scalar, then `uptime_ns`
+/// and `snapshot_seq`.
+const WIRE_COUNTERS: usize = SCALAR_STATS.len() + 2;
+
 fn put_stats(buf: &mut BytesMut, s: &StatsSnapshot) {
-    let counters = [
-        s.connections,
-        s.requests,
-        s.rows,
-        s.replies_ok,
-        s.busy,
-        s.expired,
-        s.protocol_errors,
-        s.batches,
-        s.inflight,
-        s.accept_errors,
-        s.wakeups,
-        s.loop_events,
-        s.open_connections,
-        s.fwd_sent,
-        s.fwd_recv,
-        s.shard_scale_ups,
-        s.shard_scale_downs,
-        s.worker_panics,
-        s.keyed_requests,
-        s.keyless_requests,
-        s.trusted_stage_refused,
-        s.uptime_ns,
-        s.snapshot_seq,
-    ];
-    buf.put_u8(counters.len() as u8);
-    for c in counters {
+    buf.put_u8(WIRE_COUNTERS as u8);
+    for c in s.scalars().into_iter().chain([s.uptime_ns, s.snapshot_seq]) {
         buf.put_u64_le(c);
     }
-    put_histogram(buf, &s.e2e);
-    put_histogram(buf, &s.forward);
-    put_histogram(buf, &s.depth);
-    put_histogram(buf, &s.queue_wait);
-    put_histogram(buf, &s.batch_fill);
-    put_histogram(buf, &s.writeback);
-    put_histogram(buf, &s.remote_wait);
+    for h in s.histograms() {
+        put_histogram(buf, h);
+    }
     buf.put_u16_le(s.shards.len() as u16);
     for sh in &s.shards {
         buf.put_u16_le(sh.model);
@@ -783,26 +760,24 @@ fn get_stats(buf: &mut impl Buf) -> Result<StatsSnapshot, WireError> {
     need(buf, 1, "counter count")?;
     let n = buf.get_u8() as usize;
     need(buf, n.saturating_mul(8), "counters")?;
-    if n != 23 {
+    if n != WIRE_COUNTERS {
         return Err(WireError::BadTag {
             context: "counter count",
             tag: n as u8,
         });
     }
-    let mut c = [0u64; 23];
-    for v in &mut c {
-        *v = buf.get_u64_le();
+    let mut s = StatsSnapshot::default();
+    for c in s.scalars_mut() {
+        *c = buf.get_u64_le();
     }
-    let e2e = get_histogram(buf)?;
-    let forward = get_histogram(buf)?;
-    let depth = get_histogram(buf)?;
-    let queue_wait = get_histogram(buf)?;
-    let batch_fill = get_histogram(buf)?;
-    let writeback = get_histogram(buf)?;
-    let remote_wait = get_histogram(buf)?;
+    s.uptime_ns = buf.get_u64_le();
+    s.snapshot_seq = buf.get_u64_le();
+    for h in s.histograms_mut() {
+        *h = get_histogram(buf)?;
+    }
     need(buf, 2, "shard count")?;
     let shard_count = buf.get_u16_le() as usize;
-    let mut shards = Vec::with_capacity(shard_count.min(256));
+    s.shards.reserve(shard_count.min(256));
     for _ in 0..shard_count {
         need(buf, 5, "shard header")?;
         let model = buf.get_u16_le();
@@ -810,7 +785,7 @@ fn get_stats(buf: &mut impl Buf) -> Result<StatsSnapshot, WireError> {
         let active = buf.get_u8() != 0;
         let forward = get_histogram(buf)?;
         let queue_wait = get_histogram(buf)?;
-        shards.push(ShardStatsSnapshot {
+        s.shards.push(ShardStatsSnapshot {
             model,
             shard,
             active,
@@ -818,39 +793,7 @@ fn get_stats(buf: &mut impl Buf) -> Result<StatsSnapshot, WireError> {
             queue_wait,
         });
     }
-    Ok(StatsSnapshot {
-        connections: c[0],
-        requests: c[1],
-        rows: c[2],
-        replies_ok: c[3],
-        busy: c[4],
-        expired: c[5],
-        protocol_errors: c[6],
-        batches: c[7],
-        inflight: c[8],
-        accept_errors: c[9],
-        wakeups: c[10],
-        loop_events: c[11],
-        open_connections: c[12],
-        fwd_sent: c[13],
-        fwd_recv: c[14],
-        shard_scale_ups: c[15],
-        shard_scale_downs: c[16],
-        worker_panics: c[17],
-        keyed_requests: c[18],
-        keyless_requests: c[19],
-        trusted_stage_refused: c[20],
-        uptime_ns: c[21],
-        snapshot_seq: c[22],
-        e2e,
-        forward,
-        depth,
-        queue_wait,
-        batch_fill,
-        writeback,
-        remote_wait,
-        shards,
-    })
+    Ok(s)
 }
 
 #[cfg(test)]
@@ -1001,6 +944,84 @@ mod tests {
                 },
             ],
         })));
+    }
+
+    /// Pins the `STATS_OK` byte layout: every counter, histogram field and
+    /// shard field carries a distinct value, so swapping any two fields on
+    /// the wire changes the digest (a round-trip test cannot see that).
+    #[test]
+    fn stats_reply_bytes_are_pinned() {
+        let h = |seed: u64| HistogramSnapshot {
+            buckets: (0..HISTOGRAM_BUCKETS as u64)
+                .map(|i| seed * 100 + i)
+                .collect(),
+            count: seed * 100 + 50,
+            sum_ns: seed * 100 + 60,
+        };
+        let snapshot = StatsSnapshot {
+            connections: 1,
+            requests: 2,
+            rows: 3,
+            replies_ok: 4,
+            busy: 5,
+            expired: 6,
+            protocol_errors: 7,
+            batches: 8,
+            inflight: 9,
+            accept_errors: 10,
+            wakeups: 11,
+            loop_events: 12,
+            open_connections: 13,
+            fwd_sent: 14,
+            fwd_recv: 15,
+            shard_scale_ups: 16,
+            shard_scale_downs: 17,
+            worker_panics: 18,
+            keyed_requests: 19,
+            keyless_requests: 20,
+            trusted_stage_refused: 21,
+            uptime_ns: 22,
+            snapshot_seq: 23,
+            e2e: h(1),
+            forward: h(2),
+            depth: h(3),
+            queue_wait: h(4),
+            batch_fill: h(5),
+            writeback: h(6),
+            remote_wait: h(7),
+            shards: vec![
+                ShardStatsSnapshot {
+                    model: 24,
+                    shard: 25,
+                    active: true,
+                    forward: h(8),
+                    queue_wait: h(9),
+                },
+                ShardStatsSnapshot {
+                    model: 26,
+                    shard: 27,
+                    active: false,
+                    forward: h(10),
+                    queue_wait: h(11),
+                },
+            ],
+        };
+        let mut out = BytesMut::new();
+        Reply::StatsOk(Box::new(snapshot)).encode(&mut out, PROTOCOL_VERSION, 7);
+        // Frame header, then the counter block: count byte, connections = 1.
+        assert_eq!(
+            &out[4..11],
+            &[PROTOCOL_VERSION, OP_STATS_OK, 7, 0, 0, 0, 23]
+        );
+        assert_eq!(&out[11..19], &1u64.to_le_bytes());
+        assert_eq!(
+            out.len(),
+            4 + 6 + 1 + 23 * 8 + 2 + 11 * (1 + 26 * 8) + 2 * 5
+        );
+        assert_eq!(
+            hpnn_core::sha256(&out).to_string(),
+            "5a3abc9dea5fb4a81110bed0f40ce15a597f73f01105841ecdc07ca2ce2575c6"
+        );
     }
 
     #[test]

@@ -668,20 +668,12 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
 /// The server-side stats tables `loadgen` and `stats` both print: per-stage
 /// latency quantiles, then per-shard activity when the server runs shards.
 fn print_server_stats(stats: &hpnn::serve::StatsSnapshot) {
-    println!("per-stage server latency (us, bucket upper bounds):");
+    println!("per-stage server latency (us, interpolated):");
     println!(
         "  {:<12} {:>10} {:>12} {:>12} {:>12}",
         "stage", "count", "p50", "p95", "p99"
     );
-    let stages = [
-        ("queue_wait", &stats.queue_wait),
-        ("batch_fill", &stats.batch_fill),
-        ("forward", &stats.forward),
-        ("remote_wait", &stats.remote_wait),
-        ("writeback", &stats.writeback),
-        ("e2e", &stats.e2e),
-    ];
-    for (name, h) in stages {
+    for (name, h) in stats.stages() {
         println!(
             "  {:<12} {:>10} {:>12.1} {:>12.1} {:>12.1}",
             name,
